@@ -129,35 +129,26 @@ pub enum ExecMode {
     /// The sharded per-cycle engine with this many threads (exact under
     /// every latency model; ≤ 1 runs the plain oracle).
     Sharded(u32),
-    /// The fastest exact engine for the compiled design: event-driven
-    /// under DT; under variable latency the oracle, sharded across up
-    /// to [`ExecMode::AUTO_SHARDS`] threads when the run is long enough
-    /// ([`ExecMode::AUTO_SHARD_MIN_CHUNKS`]) and the host has cores to
-    /// spare. The default.
+    /// The fastest exact engine for the compiled design
+    /// ([`EngineMode::fastest_exact`]): event-driven under DT, the
+    /// oracle under variable latency. Never sharded: on every measured
+    /// host and design point the sharded engine ran slower than the
+    /// oracle, because stages do too little work per cycle to pay for
+    /// cross-thread hand-offs. The default.
     #[default]
     Auto,
 }
 
 impl ExecMode {
-    /// Chunk count from which `Auto` considers the per-cycle sweep long
-    /// enough to amortize thread startup and cross-shard handshakes.
-    pub const AUTO_SHARD_MIN_CHUNKS: u64 = 1024;
-
-    /// Shard-count ceiling for `Auto` (diminishing returns beyond a few
-    /// shards: contiguous cuts of the stage order shrink, and the
-    /// wavefront handshakes grow with the cut count).
-    pub const AUTO_SHARDS: u32 = 4;
-
     /// The concrete engine this mode resolves to for a design with the
-    /// given latency model and run length — what
-    /// [`ExecutionReport::exec_mode`] records. Reads the host's
-    /// available parallelism; see [`ExecMode::resolve_with`] for the
-    /// pure policy.
-    pub fn resolve(self, latency: GlobalLatencyModel, n_chunks: u64) -> EngineMode {
+    /// given latency model — what [`ExecutionReport::exec_mode`]
+    /// records. Reads the host's available parallelism for the shard
+    /// clamp; see [`ExecMode::resolve_with`] for the pure policy.
+    pub fn resolve(self, latency: GlobalLatencyModel) -> EngineMode {
         let host_threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        self.resolve_with(latency, n_chunks, host_threads)
+        self.resolve_with(latency, host_threads)
     }
 
     /// [`ExecMode::resolve`] with the host thread count injected —
@@ -173,17 +164,12 @@ impl ExecMode {
     /// [`ExecutionReport::exec_requested`]; harnesses that *want* true
     /// oversubscription (bench sweeps, stress tests) opt out via
     /// [`ExecuteOptions::clamp_shards`] / [`ExecMode::resolve_uncapped`].
-    pub fn resolve_with(
-        self,
-        latency: GlobalLatencyModel,
-        n_chunks: u64,
-        host_threads: usize,
-    ) -> EngineMode {
+    pub fn resolve_with(self, latency: GlobalLatencyModel, host_threads: usize) -> EngineMode {
         match self {
             ExecMode::Sharded(n) => {
                 EngineMode::Sharded(n.clamp(1, host_threads.max(1).min(u32::MAX as usize) as u32))
             }
-            other => other.resolve_uncapped_with(latency, n_chunks, host_threads),
+            other => other.resolve_uncapped(latency),
         }
     }
 
@@ -193,41 +179,14 @@ impl ExecMode {
     /// shards sleep instead of burning cores), but it is still slower
     /// than the clamped run — this path exists for harnesses measuring
     /// exactly that.
-    pub fn resolve_uncapped(self, latency: GlobalLatencyModel, n_chunks: u64) -> EngineMode {
-        let host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.resolve_uncapped_with(latency, n_chunks, host_threads)
-    }
-
-    fn resolve_uncapped_with(
-        self,
-        latency: GlobalLatencyModel,
-        n_chunks: u64,
-        host_threads: usize,
-    ) -> EngineMode {
+    pub fn resolve_uncapped(self, latency: GlobalLatencyModel) -> EngineMode {
         match self {
             ExecMode::CycleAccurate => EngineMode::CycleAccurate,
             ExecMode::Sharded(n) => EngineMode::Sharded(n.max(1)),
             // An explicit EventDriven request still falls back to the
             // oracle when the fast path would not be exact, exactly as
             // the sim layer does; the report records what actually ran.
-            ExecMode::EventDriven => EngineMode::fastest_exact(latency),
-            ExecMode::Auto => match latency {
-                // Under DT the event engine skips provably-repeating
-                // spans in closed form — no thread count beats that.
-                GlobalLatencyModel::Deterministic => EngineMode::EventDriven,
-                // Variable latency forces a per-cycle sweep; shard it
-                // when the run is long and the host is actually
-                // multi-core (single-core sharding only adds context
-                // switches).
-                GlobalLatencyModel::Variable { .. }
-                    if n_chunks >= Self::AUTO_SHARD_MIN_CHUNKS && host_threads >= 2 =>
-                {
-                    EngineMode::Sharded(Self::AUTO_SHARDS.min(host_threads as u32))
-                }
-                GlobalLatencyModel::Variable { .. } => EngineMode::CycleAccurate,
-            },
+            ExecMode::EventDriven | ExecMode::Auto => EngineMode::fastest_exact(latency),
         }
     }
 }
@@ -638,9 +597,9 @@ impl CompiledPipeline {
             )
         };
         let engine = if options.clamp_shards {
-            options.exec_mode.resolve(latency, self.n_chunks)
+            options.exec_mode.resolve(latency)
         } else {
-            options.exec_mode.resolve_uncapped(latency, self.n_chunks)
+            options.exec_mode.resolve_uncapped(latency)
         };
         let run_report = run_with(
             &self.graph,
@@ -874,48 +833,47 @@ mod tests {
     }
 
     #[test]
-    fn auto_shard_policy_is_gated_on_length_latency_and_cores() {
+    fn auto_resolves_to_fastest_exact_and_never_shards() {
         use ExecMode::Auto;
         let var = GlobalLatencyModel::Variable { cv: 0.8, seed: 1 };
-        let long = ExecMode::AUTO_SHARD_MIN_CHUNKS;
-        // DT always takes the event fast path, however parallel the host.
+        // Auto is the fastest exact engine on every host: the event fast
+        // path under DT, the plain oracle under variable latency —
+        // never the sharded engine, however many cores the host has.
+        for host_threads in [1, 2, 8, 64] {
+            assert_eq!(
+                Auto.resolve_with(GlobalLatencyModel::Deterministic, host_threads),
+                EngineMode::EventDriven
+            );
+            assert_eq!(
+                Auto.resolve_with(var, host_threads),
+                EngineMode::CycleAccurate
+            );
+        }
+        assert_eq!(Auto.resolve_uncapped(var), EngineMode::CycleAccurate);
         assert_eq!(
-            Auto.resolve_with(GlobalLatencyModel::Deterministic, long, 64),
-            EngineMode::EventDriven
+            Auto.resolve(GlobalLatencyModel::Deterministic),
+            EngineMode::fastest_exact(GlobalLatencyModel::Deterministic)
         );
-        // Variable latency: sharded only when long AND multi-core…
-        assert_eq!(
-            Auto.resolve_with(var, long, 8),
-            EngineMode::Sharded(ExecMode::AUTO_SHARDS)
-        );
-        // …capped by the host's cores…
-        assert_eq!(Auto.resolve_with(var, long, 2), EngineMode::Sharded(2));
-        // …and the oracle on short runs or single-core hosts.
-        assert_eq!(
-            Auto.resolve_with(var, long - 1, 8),
-            EngineMode::CycleAccurate
-        );
-        assert_eq!(Auto.resolve_with(var, long, 1), EngineMode::CycleAccurate);
         // Explicit shard requests are clamped to the host's cores: on a
         // single-core host Sharded(6) degrades to the plain oracle
         // (Sharded(1)) instead of thrashing six threads…
         assert_eq!(
-            ExecMode::Sharded(6).resolve_with(var, 1, 1),
+            ExecMode::Sharded(6).resolve_with(var, 1),
             EngineMode::Sharded(1)
         );
         assert_eq!(
-            ExecMode::Sharded(6).resolve_with(var, 1, 4),
+            ExecMode::Sharded(6).resolve_with(var, 4),
             EngineMode::Sharded(4)
         );
         // …requests within the host's budget run verbatim…
         assert_eq!(
-            ExecMode::Sharded(3).resolve_with(var, 1, 8),
+            ExecMode::Sharded(3).resolve_with(var, 8),
             EngineMode::Sharded(3)
         );
         // …and the uncapped path honors the request for harnesses that
         // deliberately oversubscribe.
         assert_eq!(
-            ExecMode::Sharded(6).resolve_uncapped_with(var, 1, 1),
+            ExecMode::Sharded(6).resolve_uncapped(var),
             EngineMode::Sharded(6)
         );
     }

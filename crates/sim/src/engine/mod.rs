@@ -15,11 +15,19 @@
 //! * [`EngineMode::CycleAccurate`] (`cycle.rs`) — the reference oracle,
 //!   stepping every stage on every cycle;
 //! * [`EngineMode::EventDriven`] (`event.rs`) — advances `now` from
-//!   event to event (chunk issues, steady-state period boundaries) and
-//!   applies closed-form progress across provably-repeating spans. Under
-//!   [`GlobalLatencyModel::Deterministic`] it returns **bit-identical**
-//!   [`RunReport`]s to the oracle; under variable latency [`run_with`]
-//!   falls back to the oracle.
+//!   event to event and applies closed-form progress across
+//!   provably-repeating spans: idle gaps up to the next chunk issue,
+//!   micro-periods inside a chunk (between chunk issues, depth-gate
+//!   expiries and `II` boundaries, a span of `P` cycles — the lcm of the
+//!   moving stages' accumulator periods — that ran without any transfer
+//!   cut below its rate repeats, drifting linearly, until an exact
+//!   integer bound on some remaining count, buffer margin or read-share
+//!   cap margin runs out), and whole initiation intervals once the
+//!   steady state repeats as a one-chunk shift. Stepped cycles
+//!   ([`RunReport::stepped_cycles`]) scale with spans × a few `P`, not
+//!   with cycles. Under [`GlobalLatencyModel::Deterministic`] it returns
+//!   **bit-identical** [`RunReport`]s to the oracle; under variable
+//!   latency [`run_with`] falls back to the oracle.
 //! * [`EngineMode::Sharded`] (`shard.rs`) — steps every cycle like the
 //!   oracle but partitions the stage order across threads, coupling
 //!   shards through per-edge counter rings. Bit-identical to the oracle

@@ -788,6 +788,8 @@ pub(super) fn run_to_completion(
         state.dram.read(res.dram_read_bytes);
         state.backoff.merge(&res.backoff);
     }
+    // Every shard steps every cycle, like the oracle.
+    state.stepped_cycles = state.now;
     let mut stall = Vec::new();
     let mut starve = Vec::new();
     for res in &results {

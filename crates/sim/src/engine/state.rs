@@ -9,6 +9,16 @@
 //! engines bit-identical by construction: the fast paths never
 //! re-implement semantics — they only skip provably-repeating spans
 //! (event) or swap how edge buffers are reached ([`EdgeIo`], shard).
+//!
+//! The event engine's skips share one mechanism: a [`Snapshot`] taken
+//! at the start of an observed span, and [`EngineState::fast_forward`],
+//! which replays that span `k` more times in closed form from the
+//! per-span deltas. What differs is the certificate:
+//! [`EngineState::is_period_shift_of`] for whole initiation intervals
+//! (zero drift, every chunk index one ahead) and
+//! [`EngineState::span_repeats`] for micro-periods inside a chunk (no
+//! chunk change, bounded drift), which reads the clamp margins a
+//! [`WatchIo`] recorded while the span was stepped.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -23,33 +33,54 @@ use super::stats::{BackoffStats, RunReport};
 use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
 
 /// Integer-exact rational rate accumulator: emits `num/den` elements per
-/// cycle on average, never fractionally.
+/// cycle on average, never fractionally. The rate is pre-split into its
+/// whole and fractional parts so a step needs no division.
 #[derive(Debug, Clone)]
 pub(super) struct RateAcc {
-    num: u64,
+    /// `num / den`: elements every step emits.
+    whole: u64,
+    /// `num % den`: what the accumulator gains each step.
+    frac: u64,
     den: u64,
+    /// Phase, always `< den`.
     acc: u64,
+    /// Steps after which the phase repeats: `den / gcd(num, den)`.
+    period: u64,
 }
 
 impl RateAcc {
     fn new(rate: Rate) -> Self {
+        let num = rate.num().max(0) as u64;
+        let den = rate.den().max(1) as u64;
         RateAcc {
-            num: rate.num().max(0) as u64,
-            den: rate.den().max(1) as u64,
+            whole: num / den,
+            frac: num % den,
+            den,
             acc: 0,
+            period: den / gcd(num, den),
         }
     }
 
     fn step(&mut self) -> u64 {
-        self.acc += self.num;
-        let out = self.acc / self.den;
-        self.acc %= self.den;
-        out
+        self.acc += self.frac;
+        if self.acc >= self.den {
+            self.acc -= self.den;
+            self.whole + 1
+        } else {
+            self.whole
+        }
     }
 
     fn reset(&mut self) {
         self.acc = 0;
     }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Per-stage execution bookkeeping.
@@ -121,7 +152,14 @@ pub(super) enum Step {
 /// Implementations must preserve the buffer contract exactly: `read`
 /// returns `min(need, occupancy)`, `free` the space left *after* the
 /// consumer's same-cycle read, `write` never exceeds `free`.
+///
+/// [`WatchIo`] additionally records every clamp and margin the event
+/// engine needs to certify a micro-period; the hooks below are no-ops
+/// elsewhere and, gated on [`EdgeIo::WATCH`], compile away on the
+/// oracle's and the sharded engine's paths.
 pub(super) trait EdgeIo {
+    /// Whether [`step_stage`] reports clamps and cap margins.
+    const WATCH: bool = false;
     /// Consumer side: drain up to `need` elements from edge `e` at
     /// cycle `now`; returns how many were actually available.
     fn read(&mut self, e: usize, need: u64, now: u64) -> u64;
@@ -129,6 +167,12 @@ pub(super) trait EdgeIo {
     fn free(&mut self, e: usize, now: u64) -> u64;
     /// Producer side: commit `n` elements to edge `e` (space checked).
     fn write(&mut self, e: usize, n: u64);
+    /// A transfer was cut below its rate accumulator's output by a
+    /// remaining count, the read-share cap, or free space.
+    fn clamped(&mut self) {}
+    /// A write to edge `e` cleared its read-share cap by `slack` in
+    /// scaled units (see [`SpanWatch::cap_slack`]).
+    fn cap_slack(&mut self, _e: usize, _slack: u128) {}
 }
 
 /// [`EdgeIo`] over the in-place buffer vector — the sequential engines.
@@ -147,6 +191,88 @@ impl EdgeIo for SeqIo<'_> {
 
     fn write(&mut self, e: usize, n: u64) {
         self.buffers[e].write(n).expect("space checked");
+    }
+}
+
+/// Clamps and margins observed while the event engine steps one
+/// micro-period, per edge. Margins are minima over the span; a margin
+/// that no transfer touched stays at its type's maximum.
+#[derive(Debug, Default)]
+pub(super) struct SpanWatch {
+    /// Some transfer was cut below its accumulator's output.
+    pub(super) clamped: bool,
+    /// Occupancy left over after each full read (`occupancy − need`).
+    read_slack: Vec<u64>,
+    /// Free space left over after each write (`free − n`).
+    write_slack: Vec<u64>,
+    /// Read-share cap margin of each write, `read_done · volume −
+    /// (written + n − 1) · read_total`: the cap admits the write exactly
+    /// when this is ≥ 1.
+    cap_slack: Vec<u128>,
+    /// Highest occupancy the span reached (after each write), starting
+    /// from the occupancy it began with.
+    peak: Vec<u64>,
+}
+
+impl SpanWatch {
+    /// Re-arms the watch for a span starting at the buffers' current
+    /// state. Reuses its vectors: no allocation after the first span.
+    pub(super) fn reset(&mut self, buffers: &[LineBuffer]) {
+        let n = buffers.len();
+        self.clamped = false;
+        self.read_slack.clear();
+        self.read_slack.resize(n, u64::MAX);
+        self.write_slack.clear();
+        self.write_slack.resize(n, u64::MAX);
+        self.cap_slack.clear();
+        self.cap_slack.resize(n, u128::MAX);
+        self.peak.clear();
+        self.peak.extend(buffers.iter().map(|b| b.occupancy()));
+    }
+}
+
+/// [`SeqIo`] that also fills a [`SpanWatch`] — the event engine's
+/// observed micro-periods.
+pub(super) struct WatchIo<'a> {
+    buffers: &'a mut [LineBuffer],
+    watch: &'a mut SpanWatch,
+}
+
+impl EdgeIo for WatchIo<'_> {
+    const WATCH: bool = true;
+
+    fn read(&mut self, e: usize, need: u64, _now: u64) -> u64 {
+        let before = self.buffers[e].occupancy();
+        let got = self.buffers[e].read(need);
+        if got < need {
+            self.watch.clamped = true;
+        } else {
+            let slack = &mut self.watch.read_slack[e];
+            *slack = (*slack).min(before - need);
+        }
+        got
+    }
+
+    fn free(&mut self, e: usize, _now: u64) -> u64 {
+        self.buffers[e].free()
+    }
+
+    fn write(&mut self, e: usize, n: u64) {
+        let buffer = &mut self.buffers[e];
+        let slack = &mut self.watch.write_slack[e];
+        *slack = (*slack).min(buffer.free() - n);
+        buffer.write(n).expect("space checked");
+        let peak = &mut self.watch.peak[e];
+        *peak = (*peak).max(buffer.occupancy());
+    }
+
+    fn clamped(&mut self) {
+        self.watch.clamped = true;
+    }
+
+    fn cap_slack(&mut self, e: usize, slack: u128) {
+        let min = &mut self.watch.cap_slack[e];
+        *min = (*min).min(slack);
     }
 }
 
@@ -190,6 +316,9 @@ pub(super) fn step_stage<IO: EdgeIo>(
         for slot in 0..stage.in_edges.len() {
             let e = stage.in_edges[slot];
             let need = want.min(stage.read_remaining[slot]);
+            if IO::WATCH && need < want {
+                io.clamped();
+            }
             if need == 0 {
                 continue;
             }
@@ -226,6 +355,9 @@ pub(super) fn step_stage<IO: EdgeIo>(
                 let e = stage.out_edges[slot];
                 let remaining = stage.write_remaining[slot];
                 let want = allowance.min(remaining);
+                if IO::WATCH && want < allowance {
+                    io.clamped();
+                }
                 if want == 0 {
                     continue;
                 }
@@ -234,7 +366,17 @@ pub(super) fn step_stage<IO: EdgeIo>(
                     let read_total = stage.read_total as u128;
                     let done_share = (stage.read_done as u128 * vol).div_ceil(read_total) as u64;
                     let written = edge_volume[e] - remaining;
-                    done_share.saturating_sub(written)
+                    let cap = done_share.saturating_sub(written);
+                    if IO::WATCH {
+                        if cap < want {
+                            io.clamped();
+                        } else {
+                            // cap ≥ want ⇔ read_done · vol > (written + want − 1) · read_total.
+                            let limit = (written + want - 1) as u128 * read_total;
+                            io.cap_slack(e, stage.read_done as u128 * vol - limit);
+                        }
+                    }
+                    cap
                 } else {
                     want
                 };
@@ -245,6 +387,9 @@ pub(super) fn step_stage<IO: EdgeIo>(
                 let space = io.free(e, now);
                 let accepted = n.min(space);
                 if accepted < n {
+                    if IO::WATCH {
+                        io.clamped();
+                    }
                     match config.buffer_policy {
                         BufferPolicy::Strict => return Some(e),
                         BufferPolicy::Elastic => {
@@ -296,58 +441,116 @@ pub(super) fn step_stage<IO: EdgeIo>(
     None
 }
 
-/// Snapshot of everything the stepper's future depends on, with stage
-/// chunk indices kept explicit so two snapshots one initiation interval
-/// apart can be compared as a *shift*: identical phase state, every
-/// chunk index advanced by exactly one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(super) struct StateKey {
-    stages: Vec<StageSnap>,
-    occupancy: Vec<u64>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct StageSnap {
-    chunk: u64,
-    read_acc: u64,
-    write_acc: u64,
-    read_remaining: Vec<u64>,
-    write_remaining: Vec<u64>,
-    read_done: u64,
-    slow_acc: u64,
-}
-
-impl StateKey {
-    /// `true` when `cur` is exactly `prev` advanced by one chunk on every
-    /// stage with all phase state (accumulators, remaining work, buffer
-    /// occupancies) identical — the steady-state periodicity certificate.
-    pub(super) fn is_period_shift_of(&self, prev: &StateKey) -> bool {
-        self.occupancy == prev.occupancy
-            && self.stages.len() == prev.stages.len()
-            && self.stages.iter().zip(&prev.stages).all(|(c, p)| {
-                c.chunk == p.chunk + 1
-                    && c.read_acc == p.read_acc
-                    && c.write_acc == p.write_acc
-                    && c.read_remaining == p.read_remaining
-                    && c.write_remaining == p.write_remaining
-                    && c.read_done == p.read_done
-                    && c.slow_acc == p.slow_acc
-            })
+/// One cycle's stage sweep, consumers first. Returns the cycle's
+/// tallies and the edge a strict-mode write overflowed, which aborts the
+/// sweep mid-cycle.
+#[allow(clippy::too_many_arguments)]
+fn sweep<IO: EdgeIo>(
+    stages: &mut [StageState],
+    order: &[usize],
+    edge_volume: &[u64],
+    io: &mut IO,
+    now: u64,
+    n_chunks: u64,
+    ii: u64,
+    config: &EngineConfig,
+) -> (CycleAcct, Option<usize>) {
+    let mut acct = CycleAcct::default();
+    for &si in order {
+        let stage = &mut stages[si];
+        if !stage.active(now, n_chunks, ii) {
+            continue;
+        }
+        if !stage.tick() {
+            acct.starved = true;
+            continue;
+        }
+        if let Some(e) = step_stage(stage, io, now, n_chunks, ii, edge_volume, config, &mut acct) {
+            return (acct, Some(e));
+        }
     }
+    (acct, None)
 }
 
-/// Monotone counters accumulated by the stepper. Snapshot two of these
-/// one period apart and the difference is the per-period work the
-/// event-driven engine extrapolates over skipped periods.
-#[derive(Debug, Clone)]
-pub(super) struct Counters {
+/// Everything the stepper's future depends on plus every monotone
+/// counter, captured at one cycle. The event engine keeps two and
+/// re-captures into them in place, so taking a snapshot allocates
+/// nothing after the first.
+#[derive(Debug, Default)]
+pub(super) struct Snapshot {
+    now: u64,
+    stages: Vec<StageSnap>,
+    /// Every stage's remaining counts, read slots then write slots, in
+    /// stage order.
+    remaining: Vec<u64>,
+    edges: Vec<EdgeSnap>,
     sram_dynamic_bytes: u64,
     compute_elements: u64,
     stall_cycles: u64,
     starved_cycles: u64,
     dram_read_bytes: u64,
-    buf_reads: Vec<u64>,
-    buf_writes: Vec<u64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct StageSnap {
+    chunk: u64,
+    read_acc: u64,
+    write_acc: u64,
+    read_done: u64,
+    slow_acc: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct EdgeSnap {
+    occupancy: u64,
+    reads: u64,
+    writes: u64,
+}
+
+impl Snapshot {
+    /// Overwrites this snapshot with `state`'s current state.
+    pub(super) fn capture(&mut self, state: &EngineState) {
+        self.now = state.now;
+        self.stages.clear();
+        self.remaining.clear();
+        for s in &state.stages {
+            self.stages.push(StageSnap {
+                chunk: s.chunk,
+                read_acc: s.read_acc.acc,
+                write_acc: s.write_acc.acc,
+                read_done: s.read_done,
+                slow_acc: s.slow_acc,
+            });
+            self.remaining.extend_from_slice(&s.read_remaining);
+            self.remaining.extend_from_slice(&s.write_remaining);
+        }
+        self.edges.clear();
+        self.edges.extend(state.buffers.iter().map(|b| EdgeSnap {
+            occupancy: b.occupancy(),
+            reads: b.total_reads(),
+            writes: b.total_writes(),
+        }));
+        self.sram_dynamic_bytes = state.sram_dynamic_bytes;
+        self.compute_elements = state.compute_elements;
+        self.stall_cycles = state.stall_cycles;
+        self.starved_cycles = state.starved_cycles;
+        self.dram_read_bytes = state.dram.read_bytes();
+    }
+}
+
+/// `cur` moved on by `k` more spans of the drift `cur − start` (which
+/// may be negative); the callers' bounds keep the result in range.
+fn extrapolate(cur: u64, start: u64, k: u64) -> u64 {
+    if cur >= start {
+        cur + k * (cur - start)
+    } else {
+        cur - k * (start - cur)
+    }
+}
+
+/// Largest `k` with `slack − k · drift ≥ 0` (unbounded without drift).
+fn spans_within(slack: u64, drift: u64) -> u64 {
+    slack.checked_div(drift).unwrap_or(u64::MAX)
 }
 
 /// The full execution state shared by the cycle oracle, the
@@ -373,6 +576,8 @@ pub(super) struct EngineState {
     overflow_edge: Option<usize>,
     pub(super) sram_dynamic_bytes: u64,
     pub(super) compute_elements: u64,
+    /// Cycles advanced one at a time (see [`RunReport::stepped_cycles`]).
+    pub(super) stepped_cycles: u64,
     /// Backoff telemetry merged back from the sharded engine's threads
     /// (zeros on the sequential paths).
     pub(super) backoff: BackoffStats,
@@ -506,13 +711,9 @@ impl EngineState {
             overflow_edge: None,
             sram_dynamic_bytes: 0,
             compute_elements: 0,
+            stepped_cycles: 0,
             backoff: BackoffStats::default(),
         }
-    }
-
-    /// The plan's initiation interval (the steady-state period).
-    pub(super) fn initiation_interval(&self) -> u64 {
-        self.ii.max(1)
     }
 
     /// `true` while any stage still has chunks to stream.
@@ -526,46 +727,40 @@ impl EngineState {
     /// least one stage was write-blocked (resp. read-starved) adds one to
     /// the respective counter, however many stages were affected.
     pub(super) fn step_cycle(&mut self, config: &EngineConfig) -> Step {
-        let now = self.now;
-        let n_chunks = self.n_chunks;
-        let ii = self.ii;
-        let mut acct = CycleAcct::default();
-        let mut overflow = false;
+        self.step(config, None)
+    }
+
+    /// [`EngineState::step_cycle`] that also records into `watch` every
+    /// clamp and margin of the cycle's transfers.
+    pub(super) fn step_cycle_watched(
+        &mut self,
+        config: &EngineConfig,
+        watch: &mut SpanWatch,
+    ) -> Step {
+        self.step(config, Some(watch))
+    }
+
+    fn step(&mut self, config: &EngineConfig, watch: Option<&mut SpanWatch>) -> Step {
         let EngineState {
             stages,
             buffers,
             order,
             edge_volume,
-            overflow_edge,
+            now,
+            n_chunks,
+            ii,
             ..
         } = self;
-        let mut io = SeqIo { buffers };
-        for &si in order.iter() {
-            let stage = &mut stages[si];
-            if !stage.active(now, n_chunks, ii) {
-                continue;
+        let (acct, overflow) = match watch {
+            None => {
+                let io = &mut SeqIo { buffers };
+                sweep(stages, order, edge_volume, io, *now, *n_chunks, *ii, config)
             }
-            if !stage.tick() {
-                acct.starved = true;
-                continue;
+            Some(watch) => {
+                let io = &mut WatchIo { buffers, watch };
+                sweep(stages, order, edge_volume, io, *now, *n_chunks, *ii, config)
             }
-            if let Some(e) = step_stage(
-                stage,
-                &mut io,
-                now,
-                n_chunks,
-                ii,
-                edge_volume,
-                config,
-                &mut acct,
-            ) {
-                if overflow_edge.is_none() {
-                    *overflow_edge = Some(e);
-                }
-                overflow = true;
-                break;
-            }
-        }
+        };
         self.sram_dynamic_bytes += acct.sram_dynamic_bytes;
         self.compute_elements += acct.compute_elements;
         self.dram.read(acct.dram_read_bytes);
@@ -575,11 +770,16 @@ impl EngineState {
         if acct.starved {
             self.starved_cycles += 1;
         }
-        if overflow {
-            Step::Overflow
-        } else {
-            self.now += 1;
-            Step::Continue
+        match overflow {
+            Some(e) => {
+                self.overflow_edge.get_or_insert(e);
+                Step::Overflow
+            }
+            None => {
+                self.now += 1;
+                self.stepped_cycles += 1;
+                Step::Continue
+            }
         }
     }
 
@@ -602,37 +802,29 @@ impl EngineState {
         (next != u64::MAX).then_some(next)
     }
 
-    /// Snapshot of the stepper's full forward-dependency state.
-    pub(super) fn state_key(&self) -> StateKey {
-        StateKey {
-            stages: self
-                .stages
+    /// `true` when the current state is `prev` advanced by one chunk on
+    /// every stage with all phase state (accumulators, remaining work,
+    /// buffer occupancies) identical — the steady-state periodicity
+    /// certificate for whole initiation intervals.
+    pub(super) fn is_period_shift_of(&self, prev: &Snapshot) -> bool {
+        let mut remaining = prev.remaining.iter();
+        self.now == prev.now + self.ii
+            && self.stages.iter().zip(&prev.stages).all(|(s, p)| {
+                s.chunk == p.chunk + 1
+                    && s.read_acc.acc == p.read_acc
+                    && s.write_acc.acc == p.write_acc
+                    && s.read_done == p.read_done
+                    && s.slow_acc == p.slow_acc
+                    && s.read_remaining
+                        .iter()
+                        .chain(&s.write_remaining)
+                        .all(|r| remaining.next() == Some(r))
+            })
+            && self
+                .buffers
                 .iter()
-                .map(|s| StageSnap {
-                    chunk: s.chunk,
-                    read_acc: s.read_acc.acc,
-                    write_acc: s.write_acc.acc,
-                    read_remaining: s.read_remaining.clone(),
-                    write_remaining: s.write_remaining.clone(),
-                    read_done: s.read_done,
-                    slow_acc: s.slow_acc,
-                })
-                .collect(),
-            occupancy: self.buffers.iter().map(|b| b.occupancy()).collect(),
-        }
-    }
-
-    /// Snapshot of the monotone counters.
-    pub(super) fn counters(&self) -> Counters {
-        Counters {
-            sram_dynamic_bytes: self.sram_dynamic_bytes,
-            compute_elements: self.compute_elements,
-            stall_cycles: self.stall_cycles,
-            starved_cycles: self.starved_cycles,
-            dram_read_bytes: self.dram.read_bytes(),
-            buf_reads: self.buffers.iter().map(|b| b.total_reads()).collect(),
-            buf_writes: self.buffers.iter().map(|b| b.total_writes()).collect(),
-        }
+                .zip(&prev.edges)
+                .all(|(b, p)| b.occupancy() == p.occupancy)
     }
 
     /// Whole periods that can be skipped from `now` while the
@@ -658,31 +850,156 @@ impl EngineState {
         by_chunks.min(by_budget)
     }
 
-    /// Advances the state by `periods` whole initiation intervals in
-    /// closed form: `now` and every chunk index move forward, and each
-    /// monotone counter grows by `periods ×` its observed per-period
-    /// delta (`cur - prev`). Valid only when [`StateKey::is_period_shift_of`]
-    /// certified that the trace repeats — phase state (accumulators,
-    /// occupancies, remaining work) is then provably unchanged across the
-    /// skipped span.
-    pub(super) fn fast_forward_periods(&mut self, periods: u64, prev: &Counters, cur: &Counters) {
-        debug_assert!(self.ii > 0, "skippable_periods gates out II = 0 plans");
-        self.now += periods * self.ii;
-        for s in &mut self.stages {
-            s.chunk += periods;
+    /// The micro-period of the stages that move right now: the lcm of
+    /// the periods of every rate accumulator that steps each cycle (the
+    /// read side of active consumers, the write side of active stages
+    /// past their depth gate). `None` when nothing moves or the lcm
+    /// exceeds `limit`.
+    pub(super) fn micro_period(&self, limit: u64) -> Option<u64> {
+        let mut period = 1u64;
+        let mut moving = false;
+        for s in &self.stages {
+            if !s.active(self.now, self.n_chunks, self.ii) {
+                continue;
+            }
+            let reads = !s.in_edges.is_empty();
+            let writes = !s.out_edges.is_empty() && self.now >= s.issue(s.chunk, self.ii) + s.depth;
+            for (steps, acc) in [(reads, &s.read_acc), (writes, &s.write_acc)] {
+                if steps {
+                    moving = true;
+                    period = (period / gcd(period, acc.period))
+                        .checked_mul(acc.period)
+                        .filter(|&lcm| lcm <= limit)?;
+                }
+            }
         }
-        self.sram_dynamic_bytes += periods * (cur.sram_dynamic_bytes - prev.sram_dynamic_bytes);
-        self.compute_elements += periods * (cur.compute_elements - prev.compute_elements);
-        self.stall_cycles += periods * (cur.stall_cycles - prev.stall_cycles);
-        self.starved_cycles += periods * (cur.starved_cycles - prev.starved_cycles);
+        moving.then_some(period)
+    }
+
+    /// The first cycle after `now` at which a stage's activity or depth
+    /// gate changes, an initiation interval begins (where the engine
+    /// takes its whole-period snapshots), or the budget runs out. No
+    /// micro-period span may reach past it.
+    pub(super) fn horizon(&self, max_cycles: u64) -> u64 {
+        let mut horizon = max_cycles;
+        if let Some(periods) = self.now.checked_div(self.ii) {
+            horizon = horizon.min((periods + 1) * self.ii);
+        }
+        for s in &self.stages {
+            if s.chunk >= self.n_chunks {
+                continue;
+            }
+            let issue = s.issue(s.chunk, self.ii);
+            if self.now < issue {
+                horizon = horizon.min(issue);
+            } else if !s.out_edges.is_empty() && self.now < issue + s.depth {
+                horizon = horizon.min(issue + s.depth);
+            }
+        }
+        horizon
+    }
+
+    /// How many more times the micro-period just stepped from `start`
+    /// provably repeats before `horizon`. Zero unless the span was
+    /// clamp-free (`watch`), changed no chunk index, and brought every
+    /// accumulator back to its starting phase. Then each repeat is the
+    /// same trace with remaining counts, `read_done` and occupancies
+    /// moved by the span's drift, and the repeat count is bounded so
+    /// that no remaining count runs out (which could complete a chunk),
+    /// every read keeps its full `need`, and every write keeps its free
+    /// space and read-share-cap margin.
+    pub(super) fn span_repeats(&self, start: &Snapshot, watch: &SpanWatch, horizon: u64) -> u64 {
+        if watch.clamped {
+            return 0;
+        }
+        let len = self.now - start.now;
+        let mut k = horizon.saturating_sub(self.now) / len;
+        let mut remaining = start.remaining.iter();
+        for (s, p) in self.stages.iter().zip(&start.stages) {
+            if s.chunk != p.chunk
+                || s.read_acc.acc != p.read_acc
+                || s.write_acc.acc != p.write_acc
+                || s.slow_acc != p.slow_acc
+            {
+                return 0;
+            }
+            for &cur in s.read_remaining.iter().chain(&s.write_remaining) {
+                let was = *remaining.next().expect("same layout");
+                // Keep at least one element outstanding, so no chunk
+                // completes inside the skipped span.
+                k = k.min(spans_within(cur.saturating_sub(1), was - cur));
+            }
+            // Read-share cap margins, in the scaled units of
+            // `SpanWatch::cap_slack`: they move by `Δread_done · volume −
+            // Δwritten · read_total` per span.
+            if s.read_total > 0 {
+                let read_total = s.read_total as u128;
+                let read_gain = (s.read_done - p.read_done) as u128;
+                for &e in &s.out_edges {
+                    let vol = self.edge_volume[e] as u128;
+                    let written = (self.buffers[e].total_writes() - start.edges[e].writes) as u128;
+                    let (gain, loss) = (read_gain * vol, written * read_total);
+                    if loss > gain {
+                        let spans = (watch.cap_slack[e] - 1) / (loss - gain);
+                        k = k.min(spans.min(u64::MAX as u128) as u64);
+                    }
+                }
+            }
+        }
+        for (e, (b, p)) in self.buffers.iter().zip(&start.edges).enumerate() {
+            let occupancy = b.occupancy();
+            if occupancy < p.occupancy {
+                k = k.min(spans_within(watch.read_slack[e], p.occupancy - occupancy));
+            } else {
+                k = k.min(spans_within(watch.write_slack[e], occupancy - p.occupancy));
+            }
+        }
+        k
+    }
+
+    /// Replays the span from `start` to now `k` more times in closed
+    /// form: `now`, chunk indices, remaining counts, `read_done`,
+    /// occupancies and every monotone counter move by `k ×` their
+    /// per-span delta. With the `watch` the span was stepped under, a
+    /// filling edge's high-water mark rises to where the last replay
+    /// leaves it; without, occupancies must not drift.
+    ///
+    /// Valid only under a certificate that the trace repeats —
+    /// [`EngineState::is_period_shift_of`] or
+    /// [`EngineState::span_repeats`].
+    pub(super) fn fast_forward(&mut self, k: u64, start: &Snapshot, watch: Option<&SpanWatch>) {
+        self.now = extrapolate(self.now, start.now, k);
+        let mut remaining = start.remaining.iter();
+        for (s, p) in self.stages.iter_mut().zip(&start.stages) {
+            s.chunk = extrapolate(s.chunk, p.chunk, k);
+            s.read_done = extrapolate(s.read_done, p.read_done, k);
+            for r in s
+                .read_remaining
+                .iter_mut()
+                .chain(s.write_remaining.iter_mut())
+            {
+                *r = extrapolate(*r, *remaining.next().expect("same layout"), k);
+            }
+        }
+        for (e, (b, p)) in self.buffers.iter_mut().zip(&start.edges).enumerate() {
+            let reads = k * (b.total_reads() - p.reads);
+            let writes = k * (b.total_writes() - p.writes);
+            let drift = b.occupancy().saturating_sub(p.occupancy);
+            let peak = match watch {
+                Some(watch) if drift > 0 => watch.peak[e] + k * drift,
+                _ => {
+                    debug_assert_eq!(drift, 0, "only a watched span may fill an edge");
+                    0
+                }
+            };
+            b.fast_forward(reads, writes, peak);
+        }
+        self.sram_dynamic_bytes = extrapolate(self.sram_dynamic_bytes, start.sram_dynamic_bytes, k);
+        self.compute_elements = extrapolate(self.compute_elements, start.compute_elements, k);
+        self.stall_cycles = extrapolate(self.stall_cycles, start.stall_cycles, k);
+        self.starved_cycles = extrapolate(self.starved_cycles, start.starved_cycles, k);
         self.dram
-            .read(periods * (cur.dram_read_bytes - prev.dram_read_bytes));
-        for (i, b) in self.buffers.iter_mut().enumerate() {
-            b.fast_forward(
-                periods * (cur.buf_reads[i] - prev.buf_reads[i]),
-                periods * (cur.buf_writes[i] - prev.buf_writes[i]),
-            );
-        }
+            .read(k * (self.dram.read_bytes() - start.dram_read_bytes));
     }
 
     /// Assembles the [`RunReport`]: drains sink traffic to DRAM, totals
@@ -729,6 +1046,7 @@ impl EngineState {
             dram_read_bytes: self.dram.read_bytes(),
             dram_write_bytes: self.dram.write_bytes(),
             energy,
+            stepped_cycles: self.stepped_cycles,
             backoff: self.backoff,
         }
     }

@@ -73,14 +73,23 @@ pub struct RunReport {
     pub dram_write_bytes: u64,
     /// Energy tally.
     pub energy: EnergyBreakdown,
+    /// Cycles the engine advanced one at a time through its per-cycle
+    /// stepper; the rest it skipped in closed form. Equals
+    /// [`RunReport::cycles`] on the oracle and the sharded engine; the
+    /// event engine's count measures how much of the run it could skip.
+    /// Describes **how** the engine ran, not what it simulated, and is
+    /// therefore **excluded from equality**.
+    pub stepped_cycles: u64,
     /// Sharded-engine backoff telemetry (zeros for sequential engines).
     /// Host-timing-dependent and **excluded from equality**.
     pub backoff: BackoffStats,
 }
 
-/// Manual equality that deliberately skips [`RunReport::backoff`]: the
-/// backoff counters vary with host scheduling while every engine test
-/// asserts `oracle == sharded` on the simulated results.
+/// Manual equality that deliberately skips [`RunReport::stepped_cycles`]
+/// and [`RunReport::backoff`]: the step count differs by engine and the
+/// backoff counters vary with host scheduling, while every engine test
+/// asserts `oracle == event` and `oracle == sharded` on the simulated
+/// results.
 impl PartialEq for RunReport {
     fn eq(&self, other: &Self) -> bool {
         self.cycles == other.cycles

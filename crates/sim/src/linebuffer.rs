@@ -112,13 +112,16 @@ impl LineBuffer {
         self.occupancy = self.occupancy.saturating_sub(n);
     }
 
-    /// Credits transfer totals without moving occupancy — the
-    /// event-driven engine accounts whole skipped steady-state periods
-    /// this way (net occupancy change over a period is zero, and the
-    /// high-water mark was already recorded in the period that repeats).
-    pub(crate) fn fast_forward(&mut self, reads: u64, writes: u64) {
+    /// Applies `reads` and `writes` in one step and raises the
+    /// high-water mark to `peak` — how the event-driven engine accounts
+    /// the spans it skips. The caller supplies the peak the skipped
+    /// trajectory reached, since this step alone never passes through
+    /// it.
+    pub(crate) fn fast_forward(&mut self, reads: u64, writes: u64, peak: u64) {
+        self.occupancy = self.occupancy + writes - reads;
         self.total_reads += reads;
         self.total_writes += writes;
+        self.max_occupancy = self.max_occupancy.max(peak);
     }
 }
 

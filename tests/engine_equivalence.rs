@@ -10,16 +10,17 @@
 //! speed.
 
 use proptest::prelude::*;
+use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::{ExecMode, ExecuteOptions, StreamGrid};
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
-use streamgrid_sim::{run_with, EnergyModel, EngineConfig, EngineMode};
+use streamgrid_sim::{run_with, BufferPolicy, EnergyModel, EngineConfig, EngineMode};
 
-/// Shard counts the sharded engine is swept over: degenerate (1), the
-/// Auto default neighborhood, and more shards than some designs have
-/// stages (8) so the never-empty-cut clamp is exercised.
+/// Shard counts the sharded engine is swept over: degenerate (1),
+/// small multi-shard splits (2, 4), and more shards than some designs
+/// have stages (8) so the never-empty-cut clamp is exercised.
 const SHARD_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
 /// Every registry preset, across chunk counts spanning warm-up-only runs
@@ -91,6 +92,41 @@ fn auto_mode_is_equivalent_to_forced_oracle() {
             .expect("runs");
         assert_eq!(auto.exec_mode, EngineMode::EventDriven, "{}", spec.name());
         assert_eq!(auto.run, oracle.run, "{}", spec.name());
+    }
+}
+
+/// The two designs every streamed LiDAR sweep runs on: registration
+/// under CS+DT at four chunks, at the 4608- and 5120-element buckets.
+/// The event engine reproduces the oracle and skips most of each run
+/// inside chunks, not just across them. The 5120-element design's
+/// read-share ratio is not an integer, so its cap margins move by a
+/// fractional amount per micro-period.
+#[test]
+fn lidar_designs_skip_inside_chunks() {
+    let spec = AppDomain::Registration.spec();
+    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
+    for elements in [4608u64, 5120] {
+        let compiled = fw.compile_spec(&spec, elements).expect("design compiles");
+        let oracle = compiled
+            .execute(&ExecuteOptions::for_spec(&spec).with_exec_mode(ExecMode::CycleAccurate));
+        let event = compiled
+            .execute(&ExecuteOptions::for_spec(&spec).with_exec_mode(ExecMode::EventDriven));
+        assert_eq!(event.exec_mode, EngineMode::EventDriven);
+        assert_eq!(
+            oracle.run, event.run,
+            "{elements} elements: engines diverged"
+        );
+        assert!(
+            oracle.is_clean(),
+            "{elements} elements: CS+DT must run clean"
+        );
+        assert_eq!(oracle.run.stepped_cycles, oracle.run.cycles);
+        assert!(
+            event.run.stepped_cycles * 5 <= event.run.cycles,
+            "{elements} elements: stepped {} of {} cycles",
+            event.run.stepped_cycles,
+            event.run.cycles
+        );
     }
 }
 
@@ -176,8 +212,89 @@ fn build_pipeline(stages: &[StageKind], skip_from: usize) -> DataflowGraph {
     g
 }
 
+/// How an adversarial case breaks its ILP schedule, so that clamps bind
+/// partway through the event engine's micro-periods instead of never.
+#[derive(Debug, Clone)]
+enum Sabotage {
+    /// One edge's buffer shrunk to `quarters`/4 of its solved size: a
+    /// strict run overflows mid-span, an elastic one stalls.
+    Shrink { edge: usize, quarters: u64 },
+    /// One consumer issued at cycle 0, ahead of its producers: it
+    /// starves and reads partially, and its own writes run early.
+    EarlyStart { stage: usize },
+}
+
+fn arb_sabotage() -> impl Strategy<Value = Sabotage> {
+    prop_oneof![
+        (0usize..64, 1u64..4).prop_map(|(edge, quarters)| Sabotage::Shrink { edge, quarters }),
+        (0usize..64).prop_map(|stage| Sabotage::EarlyStart { stage }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random DAG schedules, sabotaged: whatever the oracle reports
+    /// under a shrunk buffer or an early consumer — overflow, stalls,
+    /// starvation, partial reads, truncation — the event engine reports
+    /// the same bits.
+    #[test]
+    fn sabotaged_schedules_run_identically_on_both_engines(
+        stages in prop::collection::vec(arb_stage(), 1..6),
+        skip_from in 0usize..6,
+        chunk_points in 50u64..300,
+        n_chunks in 1u64..9,
+        sabotage in arb_sabotage(),
+        elastic in 0u8..2,
+        budget_divisor in 2u64..5,
+    ) {
+        let g = build_pipeline(&stages, skip_from);
+        prop_assume!(g.validate().is_ok());
+        let elements = chunk_points * 2;
+        let edges = edge_infos(&g, elements);
+        prop_assume!(edges.iter().all(|e| e.volume > 0));
+        let mut schedule = match optimize(&g, &OptimizeConfig::new(elements)) {
+            Ok(s) => s,
+            Err(e) => return Err(TestCaseError::fail(format!("optimize failed: {e}"))),
+        };
+        match sabotage {
+            Sabotage::Shrink { edge, quarters } => {
+                let size = &mut schedule.buffer_sizes[edge % edges.len()];
+                *size = (*size * quarters / 4).max(1);
+            }
+            Sabotage::EarlyStart { stage } => {
+                // Any stage but the source (node 0) consumes something.
+                let consumer = 1 + stage % (schedule.start_cycles.len() - 1);
+                schedule.start_cycles[consumer] = 0;
+            }
+        }
+        let plan = plan_multi_chunk(&g, &edges);
+        let energy = EnergyModel::default();
+        let policy = if elastic == 1 { BufferPolicy::Elastic } else { BufferPolicy::Strict };
+        // A generous budget that still ends a run stalled for good.
+        let clean_cycles = plan.total_cycles(schedule.makespan, n_chunks);
+        let full = EngineConfig {
+            n_chunks,
+            buffer_policy: policy,
+            max_cycles: 4 * clean_cycles + 1000,
+            ..EngineConfig::default()
+        };
+        let oracle = run_with(&g, &edges, &schedule, &plan, &energy, &full,
+                              EngineMode::CycleAccurate);
+        let event = run_with(&g, &edges, &schedule, &plan, &energy, &full,
+                             EngineMode::EventDriven);
+        prop_assert_eq!(&oracle, &event, "full-budget divergence");
+
+        let truncated = EngineConfig {
+            max_cycles: (oracle.cycles / budget_divisor).max(1),
+            ..full
+        };
+        let oracle_t = run_with(&g, &edges, &schedule, &plan, &energy, &truncated,
+                                EngineMode::CycleAccurate);
+        let event_t = run_with(&g, &edges, &schedule, &plan, &energy, &truncated,
+                               EngineMode::EventDriven);
+        prop_assert_eq!(&oracle_t, &event_t, "truncated-budget divergence");
+    }
 
     /// Random valid DAG schedules: whatever the oracle reports — clean,
     /// starved, overflowing, or truncated — the event engine reports the
