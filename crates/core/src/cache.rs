@@ -494,8 +494,9 @@ impl ScheduleCache for SharedCache {
 }
 
 /// Format version of [`FileCache`] entries; bump on layout changes so
-/// old files fall back to a clean solve instead of misparsing.
-const FILE_FORMAT_VERSION: u64 = 1;
+/// old files fall back to a clean solve instead of misparsing. Version 2
+/// adds `lp_iterations` to the summary.
+const FILE_FORMAT_VERSION: u64 = 2;
 
 /// A schedule cache persisted to a directory, one JSON file per key —
 /// the cross-process tier: a bench sweep (or any fresh binary) pointed
@@ -654,8 +655,12 @@ impl ScheduleCache for FileCache {
 fn summary_to_json(summary: &CompileSummary) -> String {
     format!(
         "{{\"onchip_bytes\": {}, \"total_cycles\": {}, \"constraints\": {}, \
-         \"solver_nodes\": {}}}",
-        summary.onchip_bytes, summary.total_cycles, summary.constraints, summary.solver_nodes,
+         \"solver_nodes\": {}, \"lp_iterations\": {}}}",
+        summary.onchip_bytes,
+        summary.total_cycles,
+        summary.constraints,
+        summary.solver_nodes,
+        summary.lp_iterations,
     )
 }
 
@@ -665,6 +670,7 @@ fn summary_from_json(value: &JsonValue) -> Option<CompileSummary> {
         total_cycles: value.get("total_cycles")?.as_u64()?,
         constraints: value.get("constraints")?.as_usize()?,
         solver_nodes: value.get("solver_nodes")?.as_u64()?,
+        lp_iterations: value.get("lp_iterations")?.as_u64()?,
     })
 }
 
@@ -885,8 +891,14 @@ mod tests {
             total_cycles: 1 << 55,
             constraints: 42,
             solver_nodes: 7,
+            lp_iterations: 1 << 40,
         };
         let value = json::parse(&summary_to_json(&summary)).unwrap();
         assert_eq!(summary_from_json(&value), Some(summary));
+        // A version-1 summary has no pivot count: it must not parse (the
+        // entry is then re-solved) rather than read back a zero.
+        let old = "{\"onchip_bytes\": 4096, \"total_cycles\": 9, \"constraints\": 42, \
+                   \"solver_nodes\": 7}";
+        assert_eq!(summary_from_json(&json::parse(old).unwrap()), None);
     }
 }

@@ -115,6 +115,8 @@ pub struct CompileSummary {
     pub constraints: usize,
     /// Branch & bound nodes used by the solve.
     pub solver_nodes: u64,
+    /// Simplex pivots over all of the solve's LP relaxations.
+    pub lp_iterations: u64,
 }
 
 /// Which execution engine a run should use — the user-facing wrapper
@@ -573,6 +575,7 @@ impl CompiledPipeline {
                 .total_cycles(self.schedule.makespan, self.n_chunks),
             constraints: self.schedule.constraint_count,
             solver_nodes: self.schedule.solver_nodes,
+            lp_iterations: self.schedule.lp_iterations,
         }
     }
 

@@ -5,11 +5,14 @@
 //! ILPs are near-integral (their constraint matrices are difference-like),
 //! so trees stay tiny, but the solver is a complete MILP solver and the
 //! test suite exercises genuinely fractional instances (knapsacks).
+//! Every node's relaxation is solved from scratch in one shared
+//! `LpWorkspace`, so the tree's order and node count depend only on
+//! the model.
 
 use std::collections::BinaryHeap;
 
 use crate::model::{Model, Sense};
-use crate::simplex::{solve_lp, LpOutcome};
+use crate::simplex::{LpOutcome, LpWorkspace};
 use crate::{Solution, SolveError, SolveOptions, SolveStatus};
 
 const INT_TOL: f64 = 1e-6;
@@ -51,10 +54,11 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
         _ => 1.0,
     };
     let root_bounds: Vec<(f64, f64)> = model.vars.iter().map(|v| (v.lower, v.upper)).collect();
+    let mut lp = LpWorkspace::default();
 
     // Pure LP fast path.
     if !model.has_integers() {
-        return Ok(match solve_lp(model, &root_bounds) {
+        return Ok(match lp.solve(model, &root_bounds) {
             LpOutcome::Optimal {
                 values,
                 objective,
@@ -95,7 +99,7 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
                 continue;
             }
         }
-        let (values, obj_min, iters) = match solve_lp(model, &bounds) {
+        let (values, obj_min, iters) = match lp.solve(model, &bounds) {
             LpOutcome::Optimal {
                 values,
                 objective,

@@ -2,10 +2,17 @@
 //!
 //! The paper solves its line-buffer minimization (Sec. 5) with Google
 //! OR-Tools; this crate is the from-scratch substitute: a modeling layer
-//! ([`Model`], [`LinExpr`]), a dense two-phase primal simplex, and
-//! best-first branch & bound for integer variables. Any exact solver
-//! returns the same optimum, so the substitution preserves the paper's
-//! results (see `DESIGN.md`).
+//! ([`Model`], [`LinExpr`]), a two-phase primal simplex, and best-first
+//! branch & bound for integer variables. Any exact solver returns the
+//! same optimum, so the substitution preserves the paper's results (see
+//! `DESIGN.md`).
+//!
+//! The simplex keeps one flat row-major tableau in a workspace that a
+//! solve creates once and reuses for every branch & bound node's LP, and
+//! each pivot updates only the pivot row's nonzero columns in the rows
+//! that need it. Skipped updates are exactly the ones that would subtract
+//! zero, so every pivot, and with it every returned vertex, is the one a
+//! dense textbook tableau produces.
 //!
 //! # Examples
 //!

@@ -154,10 +154,18 @@ impl Model {
     }
 
     /// Checks a candidate assignment against all constraints and bounds
-    /// (within `tol`); returns the first violated constraint name.
+    /// (within `tol`); returns the first violated constraint name. An
+    /// assignment of the wrong length (such as an infeasible
+    /// [`crate::Solution`]'s empty `values`) is an error, not a panic.
     pub fn check_feasible(&self, values: &[f64], tol: f64) -> Result<(), String> {
-        for (i, v) in self.vars.iter().enumerate() {
-            let x = values[i];
+        if values.len() != self.var_count() {
+            return Err(format!(
+                "assignment has {} values for {} variables",
+                values.len(),
+                self.var_count()
+            ));
+        }
+        for (v, &x) in self.vars.iter().zip(values) {
             if x < v.lower - tol || x > v.upper + tol {
                 return Err(format!(
                     "variable {} = {x} outside [{}, {}]",
@@ -211,6 +219,20 @@ mod tests {
         assert!(m.check_feasible(&[4.0], 1e-9).is_err()); // violates cap
         assert!(m.check_feasible(&[2.5], 1e-9).is_err()); // not integral
         assert!(m.check_feasible(&[-1.0], 1e-9).is_err()); // below bound
+    }
+
+    #[test]
+    fn feasibility_check_rejects_wrong_lengths() {
+        let mut m = Model::new();
+        let x = m.add_var("x", 0.0, 1.0, true);
+        m.add_constraint("lo", LinExpr::from(x), CmpOp::Ge, 0.4);
+        m.add_constraint("hi", LinExpr::from(x), CmpOp::Le, 0.6);
+        m.set_objective(LinExpr::from(x), Sense::Minimize);
+        let sol = m.solve().unwrap();
+        assert_eq!(sol.status, crate::SolveStatus::Infeasible);
+        assert!(sol.values.is_empty());
+        assert!(m.check_feasible(&sol.values, 1e-9).is_err());
+        assert!(m.check_feasible(&[0.0, 1.0], 1e-9).is_err());
     }
 
     #[test]
