@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the core kernels: neighbor search
 //! variants (the Base vs CS vs CS+DT spectrum), sorting variants, the
-//! line-buffer ILP solve, and the cycle-level engine's simulation rate.
+//! line-buffer ILP solve, the cycle-level engine's simulation rate, and
+//! the LiDAR scanner's cost per sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,7 +9,7 @@ use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::StreamGrid;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
-use streamgrid_pointcloud::datasets::lidar::{scan, LidarConfig, Scene};
+use streamgrid_pointcloud::datasets::lidar::{scan, trajectory, LidarConfig, Scene};
 use streamgrid_pointcloud::{Aabb, ChunkGrid, GridDims, Point3, WindowSpec};
 use streamgrid_sim::{run, run_with, EnergyModel, EngineConfig, EngineMode};
 use streamgrid_spatial::kdtree::{KdTree, StepBudget, TraversalOrder};
@@ -168,12 +169,49 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lidar_scan(c: &mut Criterion) {
+    // One sweep per iteration, cycling through a drive's poses: the
+    // `lidar-stream` benchmark's sweep (6 × 300 through a 14-box,
+    // 8-pole block) and the `kitti_like` default (16 × 720, 18 boxes,
+    // 10 poles).
+    let poses = trajectory(512, 0.4, 0.004);
+    let drives = [
+        (
+            "lidar_stream_6x300",
+            Scene::urban(1, 40.0, 14, 8),
+            LidarConfig {
+                beams: 6,
+                azimuth_steps: 300,
+                ..LidarConfig::default()
+            },
+        ),
+        (
+            "default_16x720",
+            Scene::urban(7, 45.0, 18, 10),
+            LidarConfig::default(),
+        ),
+    ];
+    let mut g = c.benchmark_group("lidar_scan");
+    for (name, scene, config) in &drives {
+        let mut i = 0;
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                let (pose, yaw) = poses[i % poses.len()];
+                i += 1;
+                black_box(scan(scene, config, pose, yaw, i as u64))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_knn,
     bench_sort,
     bench_optimizer,
     bench_session,
-    bench_engine
+    bench_engine,
+    bench_lidar_scan
 );
 criterion_main!(benches);

@@ -6,6 +6,47 @@
 //! then line 1, …), so consecutive points within a scan line are spatial
 //! neighbours — the locality the LiDAR split of Sec. 4.1 exploits and the
 //! continuity A-LOAM curvature extraction requires.
+//!
+//! # Column binning
+//!
+//! All rays of one azimuth column share a heading, and a box or pole can
+//! only be hit by rays whose heading lies inside the angle its footprint
+//! subtends from the sensor. So [`scan`] works in two steps per sweep:
+//!
+//! 1. Once per sweep, it takes one `sin_cos` per azimuth column and one
+//!    for the sensor-frame rotation, and bins every box and pole into
+//!    the columns whose headings can reach its footprint.
+//! 2. Per ray, it tests the ground plane and only its column's
+//!    candidates, with the same slab and cylinder arithmetic as
+//!    [`Scene::raycast`], which stays the brute-force reference.
+//!
+//! The sweep is bit-identical to casting every ray with
+//! [`Scene::raycast`], for three reasons:
+//!
+//! - Each (ray, primitive) test runs the same f32 operations, and the
+//!   range noise is drawn in the same order: one draw per return,
+//!   beam-major, in azimuth order.
+//! - The nearest hit is a minimum under a strict `<`, which does not
+//!   depend on the order the candidates are tested in.
+//! - The binning is conservative. A hit point lies, in xy, inside the box
+//!   footprint or the pole's disk, so the ray's heading lies inside the
+//!   angle that footprint subtends from the sensor. f32 rounding can let
+//!   a test accept a ray just outside: the slab test by about 3e-7 of the
+//!   range, the cylinder test near a tangent by about 7e-4 rad. So each
+//!   footprint is widened by 0.05 m plus a millionth of the maximum range
+//!   before its angle is taken, and the angle by 2e-3 rad on each side,
+//!   which also covers the rounding of the column headings. A widened
+//!   footprint that holds the sensor goes into every column. Column
+//!   ranges come from the f32 azimuths the rays actually use,
+//!   `yaw + TAU * step / steps`, compared in f64, not from the nominal
+//!   step angle: at |yaw| ≥ 1e6 the f32 spacing of `yaw` is wider than a
+//!   column.
+//!
+//! A beam at or past vertical does not point along its column's heading,
+//! so when a config has one, and under a non-finite `yaw`, every
+//! primitive goes into every column.
+
+use std::ops::Range;
 
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -13,6 +54,14 @@ use serde::{Deserialize, Serialize};
 use crate::aabb::Aabb;
 use crate::cloud::PointCloud;
 use crate::point::Point3;
+
+/// Slack on every side of a box footprint and on a pole's radius before
+/// its heading span is taken, metres; the binning adds a millionth of the
+/// maximum range to it.
+const FOOTPRINT_MARGIN: f64 = 0.05;
+
+/// Slack on each end of a heading span, radians.
+const HEADING_MARGIN: f64 = 2e-3;
 
 /// A static scene the scanner ray-casts against.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -105,6 +154,48 @@ impl Scene {
         }
         hit.then_some(best)
     }
+
+    /// [`Scene::raycast`] against the ground plane and the candidates in
+    /// `reach` only: bit `i % 64` of word `i / 64` selects box `i`, or
+    /// pole `i - boxes.len()` for `i` past the boxes.
+    fn raycast_among(
+        &self,
+        origin: Point3,
+        dir: Point3,
+        max_range: f32,
+        reach: &[u64],
+    ) -> Option<f32> {
+        let mut best = max_range;
+        let mut hit = false;
+        if dir.z < -1e-6 {
+            let t = (self.ground_z - origin.z) / dir.z;
+            if t > 0.0 && t < best {
+                best = t;
+                hit = true;
+            }
+        }
+        for (word, &bits) in reach.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let i = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let t = match self.boxes.get(i) {
+                    Some(b) => ray_aabb(origin, dir, b),
+                    None => {
+                        let (px, py, r, h) = self.poles[i - self.boxes.len()];
+                        ray_cylinder(origin, dir, px, py, r, self.ground_z, self.ground_z + h)
+                    }
+                };
+                if let Some(t) = t {
+                    if t > 0.0 && t < best {
+                        best = t;
+                        hit = true;
+                    }
+                }
+            }
+        }
+        hit.then_some(best)
+    }
 }
 
 fn ray_aabb(origin: Point3, dir: Point3, b: &Aabb) -> Option<f32> {
@@ -165,6 +256,132 @@ fn ray_cylinder(
     (z >= z_lo && z <= z_hi).then_some(t)
 }
 
+/// The headings `(start, width)`, radians, under which a ray from the
+/// sensor at `o` can reach box `b`'s footprint widened by `margin`;
+/// `None` when every heading can: the widened footprint holds the
+/// sensor, or is not finite.
+fn box_span(o: (f64, f64), b: &Aabb, margin: f64) -> Option<(f64, f64)> {
+    let x = [
+        f64::from(b.min().x) - margin - o.0,
+        f64::from(b.max().x) + margin - o.0,
+    ];
+    let y = [
+        f64::from(b.min().y) - margin - o.1,
+        f64::from(b.max().y) + margin - o.1,
+    ];
+    let misses_sensor = x[0] > 0.0 || x[1] < 0.0 || y[0] > 0.0 || y[1] < 0.0;
+    if !(misses_sensor && x.iter().chain(&y).all(|v| v.is_finite())) {
+        return None;
+    }
+    // Corner headings relative to the centre's. A rectangle that misses
+    // the sensor subtends less than π, so these do not wrap.
+    let (cx, cy) = ((x[0] + x[1]) / 2.0, (y[0] + y[1]) / 2.0);
+    let (mut lo, mut hi) = (0.0f64, 0.0f64);
+    for (px, py) in [(x[0], y[0]), (x[0], y[1]), (x[1], y[0]), (x[1], y[1])] {
+        let a = (cx * py - cy * px).atan2(cx * px + cy * py);
+        lo = lo.min(a);
+        hi = hi.max(a);
+    }
+    Some((
+        cy.atan2(cx) + lo - HEADING_MARGIN,
+        hi - lo + 2.0 * HEADING_MARGIN,
+    ))
+}
+
+/// [`box_span`] for a pole's disk, its radius widened by `margin`.
+fn pole_span(
+    o: (f64, f64),
+    (px, py, r, _): (f32, f32, f32, f32),
+    margin: f64,
+) -> Option<(f64, f64)> {
+    let (dx, dy) = (f64::from(px) - o.0, f64::from(py) - o.1);
+    let d = dx.hypot(dy);
+    let reach = f64::from(r).abs() + margin;
+    if !(d > reach && d.is_finite()) {
+        return None;
+    }
+    let half = (reach / d).asin() + HEADING_MARGIN;
+    Some((dy.atan2(dx) - half, 2.0 * half))
+}
+
+/// One sweep's azimuth columns: each column's heading, and the boxes and
+/// poles its rays can hit, as bit masks over primitive indices (boxes
+/// first, then poles).
+struct Columns {
+    /// `(sin, cos)` of each column's azimuth.
+    headings: Vec<(f32, f32)>,
+    /// Column `k`'s candidates are `masks[k * words..][..words]`.
+    masks: Vec<u64>,
+    words: usize,
+}
+
+impl Columns {
+    /// Bins `scene`'s primitives into the columns of a sweep from
+    /// `origin` at `yaw`. `outward` says that every beam's rays point
+    /// along their column's heading (cos pitch > 0).
+    fn bin(scene: &Scene, config: &LidarConfig, origin: Point3, yaw: f32, outward: bool) -> Self {
+        let steps = config.azimuth_steps;
+        let azimuths: Vec<f32> = (0..steps)
+            .map(|step| yaw + std::f32::consts::TAU * step as f32 / steps as f32)
+            .collect();
+        let headings: Vec<(f32, f32)> = azimuths.iter().map(|a| a.sin_cos()).collect();
+        let n = scene.boxes.len() + scene.poles.len();
+        let words = n.div_ceil(64);
+        let mut masks = vec![0u64; steps * words];
+
+        // Column `k` heads `h0 + offset(azimuths[k])` modulo 2π, where
+        // `h0` is column 0's heading as its `sin_cos` gives it and the
+        // offsets from column 0's azimuth are exact in f64 and
+        // non-decreasing in `k`. While the offsets stay below two turns,
+        // a span shifted by −1, 0 and +1 turn finds all its columns.
+        let turn = std::f64::consts::TAU;
+        let a0 = azimuths.first().map_or(0.0, |&a| f64::from(a));
+        let h0 = headings
+            .first()
+            .map_or(0.0, |&(s, c)| f64::from(s).atan2(f64::from(c)));
+        let offset = |a: f32| f64::from(a) - a0;
+        // Rounding keeps the offsets at most 8 rad for any finite `yaw`;
+        // a non-finite one makes them NaN, which fails this.
+        let binned = outward && azimuths.last().is_some_and(|&a| offset(a) < 2.0 * turn);
+
+        let o = (f64::from(origin.x), f64::from(origin.y));
+        let margin = FOOTPRINT_MARGIN + 1e-6 * f64::from(config.max_range);
+        let spans = scene
+            .boxes
+            .iter()
+            .map(|b| box_span(o, b, margin))
+            .chain(scene.poles.iter().map(|&p| pole_span(o, p, margin)));
+        for (i, span) in spans.enumerate() {
+            let mut mark = |cols: Range<usize>| {
+                for k in cols {
+                    masks[k * words + i / 64] |= 1 << (i % 64);
+                }
+            };
+            match span.filter(|_| binned) {
+                None => mark(0..steps),
+                Some((start, width)) => {
+                    let start = (start - h0).rem_euclid(turn);
+                    for lo in [start - turn, start, start + turn] {
+                        let begin = azimuths.partition_point(|&a| offset(a) < lo);
+                        let end = azimuths.partition_point(|&a| offset(a) <= lo + width);
+                        mark(begin..end);
+                    }
+                }
+            }
+        }
+        Columns {
+            headings,
+            masks,
+            words,
+        }
+    }
+
+    /// Column `step`'s candidate mask.
+    fn reach(&self, step: usize) -> &[u64] {
+        &self.masks[step * self.words..][..self.words]
+    }
+}
+
 /// Scanner intrinsics and noise parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LidarConfig {
@@ -211,6 +428,12 @@ pub struct LidarScan {
 /// Simulates one sweep at `pose` (sensor position, world frame) with yaw
 /// `yaw` radians. Points are returned in the sensor frame.
 ///
+/// Each ray is tested against the ground plane and only the boxes and
+/// poles binned into its azimuth column (see the [module docs](self)),
+/// and the sweep is bit-identical to casting every ray with
+/// [`Scene::raycast`]. An empty config (`beams` or `azimuth_steps` of 0)
+/// returns an empty sweep.
+///
 /// # Examples
 ///
 /// ```
@@ -224,23 +447,29 @@ pub struct LidarScan {
 pub fn scan(scene: &Scene, config: &LidarConfig, pose: Point3, yaw: f32, seed: u64) -> LidarScan {
     let mut rng = super::rng(seed);
     let origin = pose + Point3::new(0.0, 0.0, config.sensor_height);
-    let mut cloud = PointCloud::with_capacity(config.beams * config.azimuth_steps / 2);
-    let mut rings = Vec::new();
-    for beam in 0..config.beams {
-        let pitch = config.vertical_fov.0
-            + (config.vertical_fov.1 - config.vertical_fov.0) * beam as f32
-                / (config.beams.max(2) - 1) as f32;
-        let (sp, cp) = pitch.sin_cos();
-        for step in 0..config.azimuth_steps {
-            let az = yaw + std::f32::consts::TAU * step as f32 / config.azimuth_steps as f32;
-            let (sa, ca) = az.sin_cos();
+    let rays = config.beams * config.azimuth_steps;
+    let mut cloud = PointCloud::with_capacity(rays);
+    let mut rings = Vec::with_capacity(rays);
+    let pitches: Vec<(f32, f32)> = (0..config.beams)
+        .map(|beam| {
+            let pitch = config.vertical_fov.0
+                + (config.vertical_fov.1 - config.vertical_fov.0) * beam as f32
+                    / (config.beams.max(2) - 1) as f32;
+            pitch.sin_cos()
+        })
+        .collect();
+    let outward = pitches.iter().all(|&(_, cp)| cp > 0.0);
+    let columns = Columns::bin(scene, config, origin, yaw, outward);
+    // Sensor frame: subtract pose, rotate by -yaw around z.
+    let (sy, cy) = (-yaw).sin_cos();
+    for (beam, &(sp, cp)) in pitches.iter().enumerate() {
+        for (step, &(sa, ca)) in columns.headings.iter().enumerate() {
             let dir = Point3::new(cp * ca, cp * sa, sp);
-            if let Some(range) = scene.raycast(origin, dir, config.max_range) {
+            let reach = columns.reach(step);
+            if let Some(range) = scene.raycast_among(origin, dir, config.max_range, reach) {
                 let noisy = range + gauss(&mut rng) * config.range_noise;
                 let world = origin + dir * noisy;
-                // Sensor frame: subtract pose, rotate by -yaw around z.
                 let rel = world - origin;
-                let (sy, cy) = (-yaw).sin_cos();
                 let local = Point3::new(rel.x * cy - rel.y * sy, rel.x * sy + rel.y * cy, rel.z);
                 cloud.push(local);
                 rings.push(beam as u16);
@@ -413,5 +642,171 @@ mod tests {
         assert_eq!(traj[0].0, Point3::ZERO);
         // Moves forward.
         assert!(traj[19].0.norm() > 5.0);
+    }
+
+    /// The brute-force scanner [`scan`] must match bit for bit: every ray
+    /// cast with [`Scene::raycast`] against every box and pole, with one
+    /// `sin_cos` per ray and one per return.
+    fn reference_scan(
+        scene: &Scene,
+        config: &LidarConfig,
+        pose: Point3,
+        yaw: f32,
+        seed: u64,
+    ) -> LidarScan {
+        let mut rng = crate::datasets::rng(seed);
+        let origin = pose + Point3::new(0.0, 0.0, config.sensor_height);
+        let mut cloud = PointCloud::new();
+        let mut rings = Vec::new();
+        for beam in 0..config.beams {
+            let pitch = config.vertical_fov.0
+                + (config.vertical_fov.1 - config.vertical_fov.0) * beam as f32
+                    / (config.beams.max(2) - 1) as f32;
+            let (sp, cp) = pitch.sin_cos();
+            for step in 0..config.azimuth_steps {
+                let az = yaw + std::f32::consts::TAU * step as f32 / config.azimuth_steps as f32;
+                let (sa, ca) = az.sin_cos();
+                let dir = Point3::new(cp * ca, cp * sa, sp);
+                if let Some(range) = scene.raycast(origin, dir, config.max_range) {
+                    let noisy = range + gauss(&mut rng) * config.range_noise;
+                    let world = origin + dir * noisy;
+                    let rel = world - origin;
+                    let (sy, cy) = (-yaw).sin_cos();
+                    let local =
+                        Point3::new(rel.x * cy - rel.y * sy, rel.x * sy + rel.y * cy, rel.z);
+                    cloud.push(local);
+                    rings.push(beam as u16);
+                }
+            }
+        }
+        LidarScan {
+            cloud,
+            rings,
+            sensor_origin: origin,
+        }
+    }
+
+    /// The bits of every coordinate, the sensor origin's last.
+    fn bits(sweep: &LidarScan) -> Vec<u32> {
+        sweep
+            .cloud
+            .points()
+            .iter()
+            .chain([&sweep.sensor_origin])
+            .flat_map(|p| [p.x, p.y, p.z])
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn scan_matches_brute_force_reference_bit_for_bit() {
+        use std::f32::consts::{FRAC_PI_2, PI};
+        // Yaws from ±π up to where the f32 spacing of `yaw` is wider
+        // than a column, then wider than a turn, and not finite.
+        const YAWS: [f32; 12] = [
+            -PI,
+            PI,
+            0.0,
+            1e3,
+            1e6,
+            -2e6,
+            1e7,
+            -3e7,
+            1e9,
+            1e20,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        let mut rng = crate::datasets::rng(0x11da5);
+        for case in 0..200u64 {
+            let extent = rng.random_range(10.0f32..60.0);
+            let mut scene = Scene::urban(
+                case,
+                extent,
+                rng.random_range(0..30),
+                rng.random_range(0..16),
+            );
+            let pose = Point3::new(
+                rng.random_range(-extent..extent),
+                rng.random_range(-3.0f32..3.0),
+                0.0,
+            );
+            let mut yaw = if case % 3 == 0 {
+                YAWS[(case / 3) as usize % YAWS.len()]
+            } else {
+                rng.random_range(-10.0..10.0)
+            };
+            // Geometry at the sensor: a footprint holding it, a pole
+            // around it, a pole within the footprint margin of it; or,
+            // at yaw 0, a box side and a pole grazing column 0's rays,
+            // which only the margins keep in that column.
+            match case % 4 {
+                0 => scene.boxes.push(Aabb::new(
+                    pose + Point3::new(-1.0, -0.5, rng.random_range(-1.0..1.5)),
+                    pose + Point3::new(0.5, 1.0, rng.random_range(1.5..6.0)),
+                )),
+                1 => scene.poles.push((pose.x + 0.03, pose.y - 0.02, 0.1, 4.0)),
+                2 => scene
+                    .poles
+                    .push((pose.x + 0.2, pose.y, rng.random_range(0.12..0.2), 4.0)),
+                _ => {
+                    yaw = 0.0;
+                    let side: f32 = if case % 8 == 3 { 1.0 } else { -1.0 };
+                    scene.boxes.push(Aabb::new(
+                        pose + Point3::new(5.3, side.min(0.0) * 1.7, 0.0),
+                        pose + Point3::new(7.9, side.max(0.0) * 1.7, 4.0),
+                    ));
+                    scene
+                        .poles
+                        .push((pose.x + 3.0, pose.y + side * 0.1, 0.1, 4.0));
+                }
+            }
+            let config = LidarConfig {
+                beams: rng.random_range(1..17),
+                azimuth_steps: match case % 10 {
+                    0 => 1,
+                    1 => 2,
+                    2 => 3,
+                    _ => rng.random_range(4..400),
+                },
+                // Now and then beams at and past vertical.
+                vertical_fov: match case % 25 {
+                    0 => (-1.8, 1.8),
+                    1 => (-FRAC_PI_2, FRAC_PI_2),
+                    _ => (rng.random_range(-0.6..-0.1), rng.random_range(-0.1..0.3)),
+                },
+                max_range: rng.random_range(5.0..120.0),
+                range_noise: rng.random_range(0.0..0.05),
+                sensor_height: rng.random_range(0.5..3.0),
+            };
+            let seed = rng.random::<u64>();
+            let got = scan(&scene, &config, pose, yaw, seed);
+            let want = reference_scan(&scene, &config, pose, yaw, seed);
+            assert!(
+                bits(&got) == bits(&want) && got.rings == want.rings,
+                "case {case}: {} points vs {} from the reference",
+                got.cloud.len(),
+                want.cloud.len()
+            );
+        }
+    }
+
+    #[test]
+    fn empty_configs_return_empty_sweeps() {
+        let scene = Scene::urban(3, 40.0, 15, 8);
+        let pose = Point3::new(1.0, 2.0, 0.0);
+        for (beams, azimuth_steps) in [(0, 360), (16, 0), (0, 0)] {
+            let config = LidarConfig {
+                beams,
+                azimuth_steps,
+                ..LidarConfig::default()
+            };
+            let sweep = scan(&scene, &config, pose, 0.5, 9);
+            assert!(sweep.cloud.is_empty() && sweep.rings.is_empty());
+            assert_eq!(
+                sweep.sensor_origin,
+                Point3::new(1.0, 2.0, config.sensor_height)
+            );
+        }
     }
 }
