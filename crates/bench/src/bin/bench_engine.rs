@@ -5,7 +5,8 @@
 //! compiled design; the harness asserts their run reports are
 //! bit-identical, prints the wall-time speedup, and serializes every run
 //! to `BENCH_engine.json` ([`streamgrid_bench::report`]) so the perf
-//! trajectory has machine-readable data.
+//! trajectory has machine-readable data. A full sweep checks its document
+//! with [`streamgrid_bench::report::validate`] before writing it.
 //!
 //! `--smoke` runs one tiny sweep (CI's bench-smoke job); the full sweep
 //! reaches `n_chunks = 256`, where the event engine's steady-state
@@ -23,7 +24,7 @@
 
 use std::time::{Duration, Instant};
 
-use streamgrid_bench::report::{BenchReport, RunRecord};
+use streamgrid_bench::report::{validate, BenchReport, RunRecord};
 use streamgrid_core::framework::{ExecMode, ExecuteOptions, ExecutionReport};
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::session::Session;
@@ -65,7 +66,7 @@ fn main() {
     );
     let chunk_counts: &[u64] = if smoke { &[4, 16] } else { &[4, 16, 64, 256] };
     let registry = PipelineRegistry::with_paper_apps();
-    let mut report = BenchReport::new("bench_engine", seed);
+    let mut report = BenchReport::new(seed);
 
     println!(
         "{:<16} {:>8} {:>10} {:>12} {:>12} {:>9}",
@@ -198,6 +199,10 @@ fn main() {
         if host_threads == 1 { "" } else { "s" }
     );
 
+    // A filtered run is partial, so only a full one is validated.
+    if only.is_none() {
+        validate(&report.to_json()).expect("the sweep meets every BENCH_engine.json rule");
+    }
     let path = report.write_default().expect("report file is writable");
     println!("\nwrote {} records to {}", report.len(), path.display());
     if !smoke && worst_large_speedup.is_finite() {

@@ -1,6 +1,7 @@
 //! Multi-tenant server benchmark: tenant-count sweep over one shared
 //! schedule cache, serialized to `BENCH_server.json`
-//! ([`streamgrid_bench::report::ServerBenchReport`]).
+//! ([`streamgrid_bench::report::ServerRecord`]) once
+//! [`streamgrid_bench::report::validate`] accepts the document.
 //!
 //! For each tenant count in {1, 16, 64, 256} (`--smoke`: {1, 16}) the
 //! harness submits the standard synthetic mix (20% Interactive, 40%
@@ -15,7 +16,7 @@
 //! harness asserts the server tenant's [`streamgrid_core::source::StreamReport`] is
 //! **bit-identical** to the direct run (the serving layer adds
 //! scheduling, never different results), so the committed JSON carries
-//! the equivalence CI re-checks (cycle-identical rows).
+//! the equivalence the validator re-checks (cycle-identical rows).
 //!
 //! Every sweep asserts `solver_invocations == distinct compile keys`:
 //! the tenant count scales, the solve count does not.
@@ -23,7 +24,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use streamgrid_bench::report::{host_threads, ServerBenchReport, ServerRecord};
+use streamgrid_bench::report::{host_threads, validate, BenchReport, ServerRecord};
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::source::{StreamOptions, SyntheticSource};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
@@ -124,7 +125,7 @@ fn main() {
         seed,
     );
     let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
-    let mut out = ServerBenchReport::new("bench_server", seed);
+    let mut out = BenchReport::new(seed);
 
     println!(
         "{:>8} {:<13} {:>8} {:>8} {:>6} {:>10} {:>10} {:>10} {:>8}",
@@ -213,6 +214,7 @@ fn main() {
         }
     }
 
+    validate(&out.to_json()).expect("the sweep meets every BENCH_server.json rule");
     match out.write_default() {
         Ok(path) => println!("\nwrote {} records to {}", out.len(), path.display()),
         Err(err) => {

@@ -2,7 +2,8 @@
 //! over dataset-backed frame streams.
 //!
 //! Three sweeps, all serialized to `BENCH_streaming.json`
-//! ([`streamgrid_bench::report::StreamBenchReport`]):
+//! ([`streamgrid_bench::report::StreamRecord`]); a full run checks the
+//! document with [`streamgrid_bench::report::validate`] before writing it:
 //!
 //! 1. **Bucketing** — for each workload (LiDAR sweeps → registration,
 //!    ModelNet samples → classification) the same frame sequence runs
@@ -31,7 +32,7 @@
 
 use std::time::Instant;
 
-use streamgrid_bench::report::{StreamBenchReport, StreamRecord};
+use streamgrid_bench::report::{validate, BenchReport, StreamRecord};
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::cache::FileCache;
 use streamgrid_core::framework::{ExecMode, ExecuteOptions};
@@ -180,7 +181,7 @@ fn main() {
         "bucketing amortizes the ILP solve; workers overlap executions; FileCache reuses solves across processes",
         seed,
     );
-    let mut out = StreamBenchReport::new("bench_streaming", seed);
+    let mut out = BenchReport::new(seed);
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
 
     header();
@@ -509,6 +510,10 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
 
+    // A filtered run is partial, so only a full one is validated.
+    if only.is_none() {
+        validate(&out.to_json()).expect("the sweep meets every BENCH_streaming.json rule");
+    }
     let path = out.write_default().expect("report file is writable");
     println!("\nwrote {} records to {}", out.len(), path.display());
     println!("overhead = scheduled - source elements: the work bucketing rounds up per sweep.");

@@ -8,28 +8,21 @@
 //! disagreement). Exits nonzero when any Error-severity lint fires or
 //! any certificate rejects — warnings are reported but do not gate.
 //!
-//! `--mc` instead runs the unified concurrency model checker over
-//! every certified protocol in the workspace — the shard engine's SPSC
-//! counter ring and park/wake handshake, and the serving layer's
-//! work/space dispatch, ledger + FIFO waitlist, and WFQ pick. Each
-//! correct protocol must pass exhaustively (within an explicit
-//! per-model state budget — a truncated exploration is a failure, not
-//! a pass), and every seeded sabotage variant must be *caught* — a
-//! sabotage passing means a checker lost its teeth. Any FAIL or MISSED
-//! row exits nonzero. `--spsc` is kept as an alias for `--mc`.
+//! `--mc` instead prints the unified concurrency model checker's matrix
+//! ([`streamgrid_bench::mc_matrix`]): every certified protocol in the
+//! workspace, correct and seeded-sabotage variants, each under its
+//! model's state budget. Exits nonzero when the matrix breaks a rule of
+//! [`streamgrid_bench::mc_matrix::check`]: a FAIL or MISSED row, an
+//! exploration outside its budget, or a missing model or row.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
+use streamgrid_bench::mc_matrix;
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_core::StreamGrid;
-use streamgrid_serve::{
-    check_dispatch, check_ledger, check_wfq, DispatchConfig, DispatchVariant, LedgerScenario,
-    LedgerVariant, WfqConfig, WfqVariant,
-};
-use streamgrid_verify::spsc::{mc_park, mc_spsc, ParkConfig, ParkVariant, SpscConfig, Variant};
-use streamgrid_verify::{McConfig, McReport, Severity};
+use streamgrid_verify::Severity;
 
 /// Elements each chunk streams from the source (paper-scale points×3).
 const CHUNK_ELEMENTS: u64 = 300;
@@ -117,196 +110,40 @@ fn lint_presets() -> ExitCode {
     }
 }
 
-/// Per-model state-count budgets, roughly 4× the exhaustive count the
-/// shipped models explore at their largest bounded configuration.
-/// Every row runs under its model's budget, and a truncated exploration
-/// never passes — so silent state-space growth (a model edit that blows
-/// up exploration) fails CI instead of burning it.
-const BUDGETS: [(&str, u64); 5] = [
-    ("spsc-ring", 4_000),
-    ("park-wake", 1_000),
-    ("work-space-dispatch", 8_000),
-    ("ledger-waitlist", 1_000),
-    ("wfq-pick", 2_000),
-];
-
-fn budget_for(model: &str) -> u64 {
-    BUDGETS
-        .iter()
-        .find(|(name, _)| *name == model)
-        .map(|&(_, b)| b)
-        .unwrap_or_else(|| panic!("no state budget for model {model}"))
-}
-
-/// Prints one matrix row and returns whether it met `expect_violation`
-/// (sabotage rows expect the checker to object; correct rows expect a
-/// full clean pass).
-fn mc_row(variant: &str, bounds: &str, expect_violation: bool, report: &McReport) -> bool {
-    let ok = if expect_violation {
-        report.violation.is_some()
-    } else {
-        report.passed()
-    };
-    let verdict = match (expect_violation, ok) {
-        (false, true) => "PASS",
-        (false, false) => "FAIL",
-        (true, true) => "CAUGHT",
-        (true, false) => "MISSED",
-    };
-    println!(
-        "{:<22} {:<26} {:<12} {:>8} {:>6} {:>8} {:<8}",
-        report.model,
-        variant,
-        bounds,
-        report.states_explored,
-        report.max_depth,
-        budget_for(&report.model),
-        verdict
-    );
-    if let Some(v) = &report.violation {
-        println!("  violation: {v}");
-    } else if report.truncated {
-        println!("  truncated: state budget exhausted before the space was explored");
-    }
-    ok
-}
-
 fn check_mc_matrix() -> ExitCode {
-    let mut failed = false;
     println!(
         "{:<22} {:<26} {:<12} {:>8} {:>6} {:>8} {:<8}",
         "model", "variant", "bounds", "states", "depth", "budget", "verdict"
     );
-    let mc = |model: &str| McConfig::default().with_max_states(budget_for(model));
-
-    // Shard engine: the SPSC counter ring. The correct protocol must
-    // pass exhaustively at every bounded configuration (ring length ×
-    // items spanning the flow-control and finish interleavings), and
-    // each seeded bug must be caught.
-    for (ring_len, iterations) in [(1, 4), (2, 4), (2, 6), (3, 6), (4, 5)] {
-        let config = SpscConfig {
-            ring_len,
-            iterations,
-        };
-        let report = mc_spsc(&config, Variant::Correct, &mc("spsc-ring"));
-        failed |= !mc_row(
-            "correct",
-            &format!("ring {ring_len}x{iterations}"),
-            false,
-            &report,
+    let rows = mc_matrix::matrix();
+    for row in &rows {
+        println!(
+            "{:<22} {:<26} {:<12} {:>8} {:>6} {:>8} {:<8}",
+            row.report.model,
+            row.variant,
+            row.bounds,
+            row.report.states_explored,
+            row.report.max_depth,
+            row.budget,
+            row.verdict()
         );
+        if let Some(v) = &row.report.violation {
+            println!("  violation: {v}");
+        } else if row.report.truncated {
+            println!("  truncated: state budget exhausted before the space was explored");
+        }
     }
-    for (label, variant) in [
-        ("publish-before-done", Variant::PublishBeforeDone),
-        ("flow-ctl-off-by-one", Variant::FlowControlOffByOne),
-    ] {
-        let config = SpscConfig {
-            ring_len: 2,
-            iterations: 4,
-        };
-        let report = mc_spsc(&config, variant, &mc("spsc-ring"));
-        failed |= !mc_row(label, "ring 2x4", true, &report);
-    }
-
-    // Shard engine: the park/wake backoff handshake, with the classic
-    // lost-wakeup sabotage (sleep without the flag recheck).
-    for iterations in [1u64, 2, 4, 6, 8] {
-        let report = mc_park(
-            &ParkConfig { iterations },
-            ParkVariant::Correct,
-            &mc("park-wake"),
-        );
-        failed |= !mc_row("correct", &format!("items {iterations}"), false, &report);
-    }
-    {
-        let report = mc_park(
-            &ParkConfig { iterations: 4 },
-            ParkVariant::WakeBeforeFlagRecheck,
-            &mc("park-wake"),
-        );
-        failed |= !mc_row("wake-before-recheck", "items 4", true, &report);
-    }
-
-    // Serving layer: the scheduler↔worker two-condvar dispatch loop.
-    let dispatch_bounds =
-        |c: &DispatchConfig| format!("{}w q{} f{}", c.workers, c.queue_depth, c.frames);
-    for config in [
-        DispatchConfig {
-            workers: 1,
-            queue_depth: 1,
-            frames: 2,
-        },
-        DispatchConfig {
-            workers: 2,
-            queue_depth: 1,
-            frames: 3,
-        },
-        DispatchConfig::default(),
-    ] {
-        let report = check_dispatch(
-            &config,
-            DispatchVariant::Correct,
-            &mc("work-space-dispatch"),
-        );
-        failed |= !mc_row("correct", &dispatch_bounds(&config), false, &report);
-    }
-    for (label, variant) in [
-        ("skip-work-notify", DispatchVariant::SkipWorkNotify),
-        ("skip-space-notify", DispatchVariant::SkipSpaceNotify),
-        ("notify-one-on-done", DispatchVariant::NotifyOneOnDone),
-        ("pop-without-recheck", DispatchVariant::PopWithoutRecheck),
-    ] {
-        let config = DispatchConfig::default();
-        let report = check_dispatch(&config, variant, &mc("work-space-dispatch"));
-        failed |= !mc_row(label, &dispatch_bounds(&config), true, &report);
-    }
-
-    // Serving layer: the token ledger + strict-FIFO waitlist, over the
-    // default adversarial scenario (a waiting large tenant a small one
-    // could bypass, plus an impossible fit).
-    let scenario = LedgerScenario::default();
-    let ledger_bounds = format!("cap {} x{}", scenario.capacity, scenario.projections.len());
-    {
-        let report = check_ledger(&scenario, LedgerVariant::Correct, &mc("ledger-waitlist"));
-        failed |= !mc_row("correct", &ledger_bounds, false, &report);
-    }
-    for (label, variant) in [
-        ("fifo-bypass", LedgerVariant::FifoBypass),
-        ("no-impossible-reject", LedgerVariant::NoImpossibleFitReject),
-        ("forget-release", LedgerVariant::ForgetRelease),
-    ] {
-        let report = check_ledger(&scenario, variant, &mc("ledger-waitlist"));
-        failed |= !mc_row(label, &ledger_bounds, true, &report);
-    }
-
-    // Serving layer: the WFQ pick, over every bounded arrival order.
-    let wfq = WfqConfig::default();
-    let wfq_bounds = format!(
-        "[{},{},{}] q{}",
-        wfq.arrivals[0], wfq.arrivals[1], wfq.arrivals[2], wfq.queue_depth
-    );
-    {
-        let report = check_wfq(&wfq, WfqVariant::Correct, &mc("wfq-pick"));
-        failed |= !mc_row("correct", &wfq_bounds, false, &report);
-    }
-    for (label, variant) in [
-        ("strict-priority", WfqVariant::StrictPriority),
-        ("forget-served-incr", WfqVariant::ForgetServedIncrement),
-    ] {
-        let report = check_wfq(&wfq, variant, &mc("wfq-pick"));
-        failed |= !mc_row(label, &wfq_bounds, true, &report);
-    }
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match mc_matrix::check(&rows) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("model-checker matrix rejected: {err}");
+            ExitCode::FAILURE
+        }
     }
 }
 
 fn main() -> ExitCode {
-    // `--spsc` predates the unified checker and is kept as an alias.
-    if std::env::args().any(|a| a == "--mc" || a == "--spsc") {
+    if std::env::args().any(|a| a == "--mc") {
         check_mc_matrix()
     } else {
         lint_presets()

@@ -1,11 +1,15 @@
 //! Shared helpers for the figure/table harnesses.
 //!
 //! Every binary under `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` for the index) and prints the same rows or
-//! series the paper reports, plus the seed it ran with. The [`report`]
-//! module additionally serializes per-run engine measurements to
-//! `BENCH_engine.json` so the perf trajectory is machine-readable.
+//! paper (the README's figure/table map is the index) and prints the same
+//! rows or series the paper reports, plus the seed it ran with. The
+//! [`report`] module defines and validates the records `bench_engine`,
+//! `bench_streaming` and `bench_server` write to `BENCH_engine.json`,
+//! `BENCH_streaming.json` and `BENCH_server.json`, so the perf trajectory
+//! is machine-readable; [`mc_matrix`] holds the model-checker matrix
+//! `sg_lint --mc` runs.
 
+pub mod mc_matrix;
 pub mod report;
 
 use streamgrid_nn::train::ClsSample;

@@ -1,16 +1,17 @@
-//! Machine-readable bench reports.
+//! Machine-readable bench reports, and the rules they must satisfy.
 //!
-//! The figure harnesses print human-readable tables; this module gives
-//! the perf trajectory durable data: a [`BenchReport`] collects one
-//! [`RunRecord`] per engine execution (cycles, stalls, energy, wall
-//! time, exec mode) and serializes them to `BENCH_engine.json`, and a
-//! [`StreamBenchReport`] collects one [`StreamRecord`] per
-//! `Session::stream` sweep (frames, solves, latency percentiles) into
-//! `BENCH_streaming.json`, and a [`ServerBenchReport`] collects one
-//! [`ServerRecord`] per QoS class per multi-tenant server sweep
-//! (admissions, sheds, wall-clock latency percentiles) into
-//! `BENCH_server.json` — plain hand-rolled JSON, since the offline
-//! vendored serde has no format crate behind it.
+//! A [`BenchReport`] collects one record per run and serializes them as
+//! one JSON document, `{"harness", "seed", "records": [...]}`:
+//! `bench_engine` writes a [`RunRecord`] per engine execution to
+//! `BENCH_engine.json`, `bench_streaming` a [`StreamRecord`] per
+//! `Session::stream` sweep to `BENCH_streaming.json`, and `bench_server` a
+//! [`ServerRecord`] per QoS class per tenant sweep to `BENCH_server.json`.
+//! A record's struct fields are its JSON keys, in document order, and one
+//! macro derives both the writer and the reader from them. [`validate`]
+//! reads a document back, requires exact key sets and value types, and
+//! checks the rules across its rows; the harnesses run it before writing,
+//! and a tier-1 test runs it on the committed files. The JSON is
+//! hand-rolled, since the offline vendored serde has no format crate.
 //!
 //! Override the output paths with the `BENCH_ENGINE_JSON` /
 //! `BENCH_STREAMING_JSON` / `BENCH_SERVER_JSON` environment variables
@@ -23,70 +24,125 @@ use std::{fs, io};
 
 use streamgrid_core::framework::ExecutionReport;
 use streamgrid_core::source::StreamReport;
+use streamgrid_optimizer::json::{self, JsonValue};
 
-/// Default output file, relative to the working directory.
-pub const DEFAULT_PATH: &str = "BENCH_engine.json";
+/// A bench record: one JSON object in a [`BenchReport`] document.
+pub trait Record: Sized {
+    /// The `harness` field of the documents this record appears in.
+    const HARNESS: &'static str;
+    /// Default output file, relative to the working directory.
+    const PATH: &'static str;
+    /// Environment variable that overrides [`Record::PATH`].
+    const PATH_ENV: &'static str;
 
-/// Default streaming output file, relative to the working directory.
-pub const STREAMING_PATH: &str = "BENCH_streaming.json";
+    /// The record as one JSON object, keys in field order.
+    fn to_json(&self) -> String;
 
-/// Default multi-tenant server output file, relative to the working
-/// directory.
-pub const SERVER_PATH: &str = "BENCH_server.json";
+    /// Reads a record back, requiring exactly its keys, each holding its
+    /// field's value type.
+    ///
+    /// # Errors
+    ///
+    /// Names the first missing, unknown, duplicate or mistyped key.
+    fn from_json(value: &JsonValue) -> Result<Self, String>;
+}
 
-/// One engine execution's measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Pipeline name (registry key).
-    pub pipeline: String,
-    /// Chunks streamed.
-    pub n_chunks: u64,
-    /// Source elements for the whole cloud.
-    pub total_elements: u64,
-    /// Engine that ran (`"CycleAccurate"` / `"EventDriven"` /
-    /// `"Sharded(n)"`) — the *effective* engine after `Auto` resolution
-    /// and shard clamping.
-    pub exec_mode: String,
-    /// Engine selection the caller asked for (`"Auto"`,
-    /// `"Sharded(8)"`, …) before resolution — differs from
-    /// [`RunRecord::exec_mode`] exactly when the runtime resolved or
-    /// clamped the request.
-    pub exec_requested: String,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Distinct stalled cycles.
-    pub stall_cycles: u64,
-    /// Distinct starved cycles.
-    pub starved_cycles: u64,
-    /// `true` when the run hit its cycle budget before finishing.
-    pub truncated: bool,
-    /// Provisioned on-chip buffer bytes.
-    pub onchip_bytes: u64,
-    /// Total DRAM traffic in bytes.
-    pub dram_bytes: u64,
-    /// Total energy in microjoules.
-    pub energy_uj: f64,
-    /// Host wall time of the engine run in milliseconds.
-    pub wall_time_ms: f64,
-    /// Hardware threads the host offered (`available_parallelism`);
-    /// wall times — especially for sharded or multi-worker runs — are
-    /// uninterpretable without it (a 1-core runner shows ~1× speedups
-    /// however many threads a sweep asks for).
-    pub host_threads: u64,
-    /// Wall time of the full-lattice schedule certification
-    /// (`CompiledPipeline::certify`) in milliseconds — the static
-    /// verifier's cost next to the run it certifies (0 when the harness
-    /// did not certify).
-    pub certify_ms: f64,
-    /// Sharded-engine tier-1 backoff: `spin_loop` iterations across all
-    /// shard waits (0 for sequential engines).
-    pub spins: u64,
-    /// Tier-2 backoff: `yield_now` calls across all shard waits.
-    pub yields: u64,
-    /// Tier-3 backoff: condvar parks (a shard thread actually slept).
-    pub parks: u64,
-    /// Wakes publishers issued to parked peers.
-    pub wakes: u64,
+/// Declares a record struct, whose fields are its JSON keys in document
+/// order, and its [`Record`] impl: the trailing `impl { .. }` supplies the
+/// harness constants, and the writer and reader walk the fields.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+        impl { $($consts:tt)* }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)*
+        }
+
+        impl Record for $name {
+            $($consts)*
+
+            fn to_json(&self) -> String {
+                let fields = [$(
+                    format!("\"{}\": {}", stringify!($field), Value::to_json(&self.$field))
+                ),*];
+                format!("{{{}}}", fields.join(", "))
+            }
+
+            fn from_json(value: &JsonValue) -> Result<Self, String> {
+                check_keys(value, &[$(stringify!($field)),*])?;
+                Ok($name {
+                    $($field: field(value, stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+record! {
+    /// One engine execution's measurements.
+    pub struct RunRecord {
+        /// Pipeline name (registry key).
+        pub pipeline: String,
+        /// Chunks streamed.
+        pub n_chunks: u64,
+        /// Source elements for the whole cloud.
+        pub total_elements: u64,
+        /// Engine that ran (`"CycleAccurate"` / `"EventDriven"` /
+        /// `"Sharded(n)"`) — the *effective* engine after `Auto` resolution
+        /// and shard clamping.
+        pub exec_mode: String,
+        /// Engine selection the caller asked for (`"Auto"`,
+        /// `"Sharded(8)"`, …) before resolution — differs from
+        /// [`RunRecord::exec_mode`] exactly when the runtime resolved or
+        /// clamped the request.
+        pub exec_requested: String,
+        /// Simulated cycles.
+        pub cycles: u64,
+        /// Distinct stalled cycles.
+        pub stall_cycles: u64,
+        /// Distinct starved cycles.
+        pub starved_cycles: u64,
+        /// `true` when the run hit its cycle budget before finishing.
+        pub truncated: bool,
+        /// Provisioned on-chip buffer bytes.
+        pub onchip_bytes: u64,
+        /// Total DRAM traffic in bytes.
+        pub dram_bytes: u64,
+        /// Total energy in microjoules.
+        pub energy_uj: f64,
+        /// Host wall time of the engine run in milliseconds.
+        pub wall_time_ms: f64,
+        /// Hardware threads the host offered (`available_parallelism`);
+        /// wall times — especially for sharded or multi-worker runs — are
+        /// uninterpretable without it (a 1-core runner shows ~1× speedups
+        /// however many threads a sweep asks for).
+        pub host_threads: u64,
+        /// Wall time of the full-lattice schedule certification
+        /// (`CompiledPipeline::certify`) in milliseconds — the static
+        /// verifier's cost next to the run it certifies (0 when the harness
+        /// did not certify).
+        pub certify_ms: f64,
+        /// Sharded-engine tier-1 backoff: `spin_loop` iterations across all
+        /// shard waits (0 for sequential engines).
+        pub spins: u64,
+        /// Tier-2 backoff: `yield_now` calls across all shard waits.
+        pub yields: u64,
+        /// Tier-3 backoff: condvar parks (a shard thread actually slept).
+        pub parks: u64,
+        /// Wakes publishers issued to parked peers.
+        pub wakes: u64,
+    }
+    impl {
+        const HARNESS: &'static str = "bench_engine";
+        const PATH: &'static str = "BENCH_engine.json";
+        const PATH_ENV: &'static str = "BENCH_ENGINE_JSON";
+    }
 }
 
 impl RunRecord {
@@ -138,154 +194,78 @@ pub fn host_threads() -> u64 {
         .unwrap_or(1)
 }
 
-/// A harness's collected records, serializable as one JSON document.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    harness: String,
-    seed: u64,
-    records: Vec<RunRecord>,
-}
-
-impl BenchReport {
-    /// An empty report for the named harness.
-    pub fn new(harness: &str, seed: u64) -> Self {
-        BenchReport {
-            harness: harness.to_owned(),
-            seed,
-            records: Vec::new(),
-        }
+record! {
+    /// One `Session::stream` sweep's measurements.
+    pub struct StreamRecord {
+        /// Pipeline name (registry key).
+        pub pipeline: String,
+        /// Frame source driving the sweep (e.g. `"lidar"`, `"modelnet"`).
+        pub source: String,
+        /// Bucketing policy (`"Exact"` / `"Pow2"` / `"Quantize(512)"`).
+        pub policy: String,
+        /// Frames streamed.
+        pub frames: u64,
+        /// ILP solves the stream paid.
+        pub solver_invocations: u64,
+        /// Source elements the frames actually carried.
+        pub source_elements: u64,
+        /// Elements the schedules provisioned for (bucketing overhead =
+        /// `scheduled - source`).
+        pub scheduled_elements: u64,
+        /// Total simulated cycles across all frames.
+        pub total_cycles: u64,
+        /// Median per-frame cycles.
+        pub p50_frame_cycles: u64,
+        /// 95th-percentile per-frame cycles.
+        pub p95_frame_cycles: u64,
+        /// Worst per-frame cycles.
+        pub max_frame_cycles: u64,
+        /// Total energy in microjoules.
+        pub energy_uj: f64,
+        /// `true` when every frame ran overflow-, stall- and
+        /// truncation-free.
+        pub all_clean: bool,
+        /// Host wall time of the whole sweep in milliseconds.
+        pub wall_time_ms: f64,
+        /// Worker threads the frame executions fanned across (1 =
+        /// sequential).
+        pub workers: u64,
+        /// Schedule-cache tier behind the sweep's session (`"private"` for a
+        /// session-local in-memory cache, `"file-cold"` / `"file-warm"` for
+        /// a `FileCache` sweep before and after its directory is populated).
+        pub cache: String,
+        /// Engine selection the sweep streamed under (`"Auto"` unless
+        /// overridden — e.g. `"Sharded(4)"` for intra-frame sharding). This
+        /// is the *requested* selection.
+        pub exec: String,
+        /// Engine the frames actually executed on after `Auto` resolution
+        /// and shard clamping (`"Mixed"` when frames disagree, `"-"` for an
+        /// empty stream) — differs from [`StreamRecord::exec`] exactly when
+        /// the runtime resolved or clamped the request.
+        pub exec_effective: String,
+        /// Hardware threads the host offered (`available_parallelism`) —
+        /// without it, identical wall times across a worker or shard sweep
+        /// cannot be told apart from a genuinely absent speedup.
+        pub host_threads: u64,
+        /// Wall time spent certifying the sweep's compiled schedules
+        /// (`CompiledPipeline::certify`) in milliseconds (0 when the
+        /// harness did not certify).
+        pub certify_ms: f64,
+        /// Sharded-engine tier-1 backoff summed across all frames:
+        /// `spin_loop` iterations (0 for sequential engines).
+        pub spins: u64,
+        /// Tier-2 backoff summed across all frames: `yield_now` calls.
+        pub yields: u64,
+        /// Tier-3 backoff summed across all frames: condvar parks.
+        pub parks: u64,
+        /// Wakes publishers issued to parked peers, summed across frames.
+        pub wakes: u64,
     }
-
-    /// Appends one run's record.
-    pub fn push(&mut self, record: RunRecord) {
-        self.records.push(record);
+    impl {
+        const HARNESS: &'static str = "bench_streaming";
+        const PATH: &'static str = "BENCH_streaming.json";
+        const PATH_ENV: &'static str = "BENCH_STREAMING_JSON";
     }
-
-    /// Number of collected records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The report as a JSON document.
-    pub fn to_json(&self) -> String {
-        let records: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"pipeline\": {}, \"n_chunks\": {}, \"total_elements\": {}, \
-                     \"exec_mode\": {}, \"exec_requested\": {}, \"cycles\": {}, \
-                     \"stall_cycles\": {}, \"starved_cycles\": {}, \"truncated\": {}, \
-                     \"onchip_bytes\": {}, \"dram_bytes\": {}, \"energy_uj\": {}, \
-                     \"wall_time_ms\": {}, \"host_threads\": {}, \"certify_ms\": {}, \
-                     \"spins\": {}, \"yields\": {}, \"parks\": {}, \"wakes\": {}}}",
-                    json_str(&r.pipeline),
-                    r.n_chunks,
-                    r.total_elements,
-                    json_str(&r.exec_mode),
-                    json_str(&r.exec_requested),
-                    r.cycles,
-                    r.stall_cycles,
-                    r.starved_cycles,
-                    r.truncated,
-                    r.onchip_bytes,
-                    r.dram_bytes,
-                    json_f64(r.energy_uj),
-                    json_f64(r.wall_time_ms),
-                    r.host_threads,
-                    json_f64(r.certify_ms),
-                    r.spins,
-                    r.yields,
-                    r.parks,
-                    r.wakes,
-                )
-            })
-            .collect();
-        json_document(&self.harness, self.seed, &records)
-    }
-
-    /// Writes the JSON document to `BENCH_engine.json` (or the
-    /// `BENCH_ENGINE_JSON` override) and returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_default(&self) -> io::Result<PathBuf> {
-        write_env_path("BENCH_ENGINE_JSON", DEFAULT_PATH, &self.to_json())
-    }
-}
-
-/// One `Session::stream` sweep's measurements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamRecord {
-    /// Pipeline name (registry key).
-    pub pipeline: String,
-    /// Frame source driving the sweep (e.g. `"lidar"`, `"modelnet"`).
-    pub source: String,
-    /// Bucketing policy (`"Exact"` / `"Pow2"` / `"Quantize(512)"`).
-    pub policy: String,
-    /// Frames streamed.
-    pub frames: u64,
-    /// ILP solves the stream paid.
-    pub solver_invocations: u64,
-    /// Source elements the frames actually carried.
-    pub source_elements: u64,
-    /// Elements the schedules provisioned for (bucketing overhead =
-    /// `scheduled - source`).
-    pub scheduled_elements: u64,
-    /// Total simulated cycles across all frames.
-    pub total_cycles: u64,
-    /// Median per-frame cycles.
-    pub p50_frame_cycles: u64,
-    /// 95th-percentile per-frame cycles.
-    pub p95_frame_cycles: u64,
-    /// Worst per-frame cycles.
-    pub max_frame_cycles: u64,
-    /// Total energy in microjoules.
-    pub energy_uj: f64,
-    /// `true` when every frame ran overflow-, stall- and
-    /// truncation-free.
-    pub all_clean: bool,
-    /// Host wall time of the whole sweep in milliseconds.
-    pub wall_time_ms: f64,
-    /// Worker threads the frame executions fanned across (1 =
-    /// sequential).
-    pub workers: u64,
-    /// Schedule-cache tier behind the sweep's session (`"private"` for a
-    /// session-local in-memory cache, `"file-cold"` / `"file-warm"` for
-    /// a `FileCache` sweep before and after its directory is populated).
-    pub cache: String,
-    /// Engine selection the sweep streamed under (`"Auto"` unless
-    /// overridden — e.g. `"Sharded(4)"` for intra-frame sharding). This
-    /// is the *requested* selection.
-    pub exec: String,
-    /// Engine the frames actually executed on after `Auto` resolution
-    /// and shard clamping (`"Mixed"` when frames disagree, `"-"` for an
-    /// empty stream) — differs from [`StreamRecord::exec`] exactly when
-    /// the runtime resolved or clamped the request.
-    pub exec_effective: String,
-    /// Hardware threads the host offered (`available_parallelism`) —
-    /// without it, identical wall times across a worker or shard sweep
-    /// cannot be told apart from a genuinely absent speedup.
-    pub host_threads: u64,
-    /// Wall time spent certifying the sweep's compiled schedules
-    /// (`CompiledPipeline::certify`) in milliseconds (0 when the
-    /// harness did not certify).
-    pub certify_ms: f64,
-    /// Sharded-engine tier-1 backoff summed across all frames:
-    /// `spin_loop` iterations (0 for sequential engines).
-    pub spins: u64,
-    /// Tier-2 backoff summed across all frames: `yield_now` calls.
-    pub yields: u64,
-    /// Tier-3 backoff summed across all frames: condvar parks.
-    pub parks: u64,
-    /// Wakes publishers issued to parked peers, summed across frames.
-    pub wakes: u64,
 }
 
 impl StreamRecord {
@@ -370,27 +350,84 @@ impl StreamRecord {
     }
 }
 
-/// A streaming harness's collected records, serializable as one JSON
-/// document (`BENCH_streaming.json`).
-#[derive(Debug, Clone)]
-pub struct StreamBenchReport {
-    harness: String,
-    seed: u64,
-    records: Vec<StreamRecord>,
+record! {
+    /// One QoS class's share of a multi-tenant server sweep (plus one
+    /// `"direct"` baseline record per single-tenant sweep: the same design
+    /// point run through `Session::stream` without the server, which must
+    /// be cycle-identical).
+    pub struct ServerRecord {
+        /// QoS class the record covers (`"interactive"` / `"standard"` /
+        /// `"background"`), or `"direct"` for the serverless
+        /// `Session::stream` baseline.
+        pub qos: String,
+        /// Total tenants the sweep submitted (the sweep's x-axis).
+        pub sweep_tenants: u64,
+        /// Tenants admitted under this class.
+        pub tenants: u64,
+        /// Tenants the whole sweep admitted.
+        pub admitted: u64,
+        /// Submissions the whole sweep rejected.
+        pub rejected: u64,
+        /// Frames this class executed.
+        pub frames: u64,
+        /// Frames this class shed.
+        pub shed: u64,
+        /// Frames this class degraded to a coarser bucketing.
+        pub degraded: u64,
+        /// Simulated cycles across this class's executed frames.
+        pub total_cycles: u64,
+        /// Median wall-clock frame latency (queue + execute), ms.
+        pub p50_ms: f64,
+        /// 95th-percentile wall-clock frame latency, ms.
+        pub p95_ms: f64,
+        /// 99th-percentile wall-clock frame latency, ms.
+        pub p99_ms: f64,
+        /// Worst wall-clock frame latency, ms.
+        pub max_ms: f64,
+        /// Mean queue wait, ms.
+        pub queue_ms: f64,
+        /// Mean execute time, ms.
+        pub exec_ms: f64,
+        /// ILP solves the whole sweep's shared cache performed.
+        pub solver_invocations: u64,
+        /// Distinct compile keys the sweep's tenant mix spans — with a
+        /// shared cache, `solver_invocations == distinct_keys` is the
+        /// sharing contract.
+        pub distinct_keys: u64,
+        /// Worker threads the server executed on.
+        pub workers: u64,
+        /// Hardware threads the host offered.
+        pub host_threads: u64,
+        /// Host wall time of the whole sweep in milliseconds.
+        pub wall_time_ms: f64,
+        /// `true` when every tenant in the sweep finished cleanly.
+        pub all_clean: bool,
+    }
+    impl {
+        const HARNESS: &'static str = "bench_server";
+        const PATH: &'static str = "BENCH_server.json";
+        const PATH_ENV: &'static str = "BENCH_SERVER_JSON";
+    }
 }
 
-impl StreamBenchReport {
-    /// An empty report for the named harness.
-    pub fn new(harness: &str, seed: u64) -> Self {
-        StreamBenchReport {
-            harness: harness.to_owned(),
+/// A harness's collected records, serializable as one JSON document.
+#[derive(Debug, Clone)]
+pub struct BenchReport<R> {
+    seed: u64,
+    records: Vec<R>,
+}
+
+impl<R: Record> BenchReport<R> {
+    /// An empty report for `R`'s harness.
+    pub fn new(seed: u64) -> Self {
+        BenchReport {
             seed,
             records: Vec::new(),
         }
     }
 
-    /// Appends one sweep's record.
-    pub fn push(&mut self, record: StreamRecord) {
+    /// Appends one record.
+    pub fn push(&mut self, record: R) {
         self.records.push(record);
     }
 
@@ -404,226 +441,317 @@ impl StreamBenchReport {
         self.records.is_empty()
     }
 
-    /// The report as a JSON document.
+    /// The report as a JSON document, one record per line.
     pub fn to_json(&self) -> String {
-        let records: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"pipeline\": {}, \"source\": {}, \"policy\": {}, \"frames\": {}, \
-                     \"solver_invocations\": {}, \"source_elements\": {}, \
-                     \"scheduled_elements\": {}, \"total_cycles\": {}, \
-                     \"p50_frame_cycles\": {}, \"p95_frame_cycles\": {}, \
-                     \"max_frame_cycles\": {}, \"energy_uj\": {}, \"all_clean\": {}, \
-                     \"wall_time_ms\": {}, \"workers\": {}, \"cache\": {}, \
-                     \"exec\": {}, \"exec_effective\": {}, \"host_threads\": {}, \
-                     \"certify_ms\": {}, \"spins\": {}, \"yields\": {}, \"parks\": {}, \
-                     \"wakes\": {}}}",
-                    json_str(&r.pipeline),
-                    json_str(&r.source),
-                    json_str(&r.policy),
-                    r.frames,
-                    r.solver_invocations,
-                    r.source_elements,
-                    r.scheduled_elements,
-                    r.total_cycles,
-                    r.p50_frame_cycles,
-                    r.p95_frame_cycles,
-                    r.max_frame_cycles,
-                    json_f64(r.energy_uj),
-                    r.all_clean,
-                    json_f64(r.wall_time_ms),
-                    r.workers,
-                    json_str(&r.cache),
-                    json_str(&r.exec),
-                    json_str(&r.exec_effective),
-                    r.host_threads,
-                    json_f64(r.certify_ms),
-                    r.spins,
-                    r.yields,
-                    r.parks,
-                    r.wakes,
-                )
-            })
-            .collect();
-        json_document(&self.harness, self.seed, &records)
+        let mut out = String::new();
+        out.push_str("{\n");
+        let _ = writeln!(out, "  \"harness\": {},", json_str(R::HARNESS));
+        let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        out.push_str("  \"records\": [\n");
+        for (i, record) in self.records.iter().enumerate() {
+            let comma = if i + 1 < self.records.len() { "," } else { "" };
+            let _ = writeln!(out, "    {}{comma}", record.to_json());
+        }
+        out.push_str("  ]\n}\n");
+        out
     }
 
-    /// Writes the JSON document to `BENCH_streaming.json` (or the
-    /// `BENCH_STREAMING_JSON` override) and returns the path.
+    /// Writes the JSON document to [`Record::PATH`] (or the path in
+    /// [`Record::PATH_ENV`]) and returns the path.
     ///
     /// # Errors
     ///
     /// Propagates the underlying filesystem error.
     pub fn write_default(&self) -> io::Result<PathBuf> {
-        write_env_path("BENCH_STREAMING_JSON", STREAMING_PATH, &self.to_json())
+        let path = PathBuf::from(std::env::var(R::PATH_ENV).unwrap_or_else(|_| R::PATH.to_owned()));
+        fs::write(&path, self.to_json())?;
+        Ok(path)
+    }
+
+    /// Reads a parsed document written for `R`'s harness.
+    fn from_value(doc: &JsonValue) -> Result<Self, String> {
+        let seed = doc
+            .get("seed")
+            .and_then(JsonValue::as_u64)
+            .ok_or("the seed is not an unsigned integer")?;
+        let rows = doc
+            .get("records")
+            .and_then(JsonValue::as_array)
+            .ok_or("the records are not an array")?;
+        if rows.is_empty() {
+            return Err("the document has no records".to_owned());
+        }
+        let records = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| R::from_json(row).map_err(|e| format!("record {i}: {e}")))
+            .collect::<Result<_, _>>()?;
+        Ok(BenchReport { seed, records })
     }
 }
 
-/// One QoS class's share of a multi-tenant server sweep (plus one
-/// `"direct"` baseline record per single-tenant sweep: the same design
-/// point run through `Session::stream` without the server, which must
-/// be cycle-identical).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServerRecord {
-    /// QoS class the record covers (`"interactive"` / `"standard"` /
-    /// `"background"`), or `"direct"` for the serverless
-    /// `Session::stream` baseline.
-    pub qos: String,
-    /// Total tenants the sweep submitted (the sweep's x-axis).
-    pub sweep_tenants: u64,
-    /// Tenants admitted under this class.
-    pub tenants: u64,
-    /// Tenants the whole sweep admitted.
-    pub admitted: u64,
-    /// Submissions the whole sweep rejected.
-    pub rejected: u64,
-    /// Frames this class executed.
-    pub frames: u64,
-    /// Frames this class shed.
-    pub shed: u64,
-    /// Frames this class degraded to a coarser bucketing.
-    pub degraded: u64,
-    /// Simulated cycles across this class's executed frames.
-    pub total_cycles: u64,
-    /// Median wall-clock frame latency (queue + execute), ms.
-    pub p50_ms: f64,
-    /// 95th-percentile wall-clock frame latency, ms.
-    pub p95_ms: f64,
-    /// 99th-percentile wall-clock frame latency, ms.
-    pub p99_ms: f64,
-    /// Worst wall-clock frame latency, ms.
-    pub max_ms: f64,
-    /// Mean queue wait, ms.
-    pub queue_ms: f64,
-    /// Mean execute time, ms.
-    pub exec_ms: f64,
-    /// ILP solves the whole sweep's shared cache performed.
-    pub solver_invocations: u64,
-    /// Distinct compile keys the sweep's tenant mix spans — with a
-    /// shared cache, `solver_invocations == distinct_keys` is the
-    /// sharing contract.
-    pub distinct_keys: u64,
-    /// Worker threads the server executed on.
-    pub workers: u64,
-    /// Hardware threads the host offered.
-    pub host_threads: u64,
-    /// Host wall time of the whole sweep in milliseconds.
-    pub wall_time_ms: f64,
-    /// `true` when every tenant in the sweep finished cleanly.
-    pub all_clean: bool,
+/// Checks a bench document: its harness is one of the three above, every
+/// record has exactly its type's keys with their value types, and the rows
+/// satisfy that harness's rules. The rules describe a complete sweep; a
+/// run filtered with `--only` writes a partial document that need not pass.
+///
+/// # Errors
+///
+/// Describes the first violation found.
+pub fn validate(text: &str) -> Result<(), String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    match doc.get("harness").and_then(JsonValue::as_str) {
+        Some(RunRecord::HARNESS) => check_engine(&BenchReport::from_value(&doc)?.records),
+        Some(StreamRecord::HARNESS) => check_streaming(&BenchReport::from_value(&doc)?.records),
+        Some(ServerRecord::HARNESS) => check_server(&BenchReport::from_value(&doc)?.records),
+        other => Err(format!("unknown harness {other:?}")),
+    }
 }
 
-/// A server harness's collected records, serializable as one JSON
-/// document (`BENCH_server.json`).
-#[derive(Debug, Clone)]
-pub struct ServerBenchReport {
-    harness: String,
-    seed: u64,
-    records: Vec<ServerRecord>,
+/// The first `(holds, rule)` pair that does not hold, as an error
+/// prefixed with `context`.
+pub(crate) fn first_broken(context: &str, rules: &[(bool, &str)]) -> Result<(), String> {
+    match rules.iter().find(|(holds, _)| !holds) {
+        Some((_, rule)) => Err(format!("{context}{rule}")),
+        None => Ok(()),
+    }
 }
 
-impl ServerBenchReport {
-    /// An empty report for the named harness.
-    pub fn new(harness: &str, seed: u64) -> Self {
-        ServerBenchReport {
-            harness: harness.to_owned(),
-            seed,
-            records: Vec::new(),
+/// `true` for a sharded engine label such as `"Sharded(8)"`.
+fn is_sharded(exec: &str) -> bool {
+    exec.starts_with("Sharded")
+}
+
+/// Rules for `BENCH_engine.json`.
+fn check_engine(records: &[RunRecord]) -> Result<(), String> {
+    // The fields every engine must reproduce bit for bit.
+    let simulated = |r: &RunRecord| {
+        let counts = [r.cycles, r.stall_cycles, r.starved_cycles];
+        let bytes = [r.onchip_bytes, r.dram_bytes];
+        (counts, bytes, r.truncated, r.energy_uj)
+    };
+    for (i, r) in records.iter().enumerate() {
+        let sharded = is_sharded(&r.exec_mode);
+        let oracle = records.iter().find(|o| {
+            (o.exec_mode.as_str(), &o.pipeline, o.n_chunks)
+                == ("CycleAccurate", &r.pipeline, r.n_chunks)
+        });
+        let as_oracle = oracle.is_some_and(|o| simulated(o) == simulated(r));
+        let idle = [r.spins, r.yields, r.parks, r.wakes] == [0; 4];
+        let rules = [
+            (!r.truncated, "the run was truncated"),
+            (r.host_threads >= 1, "no host threads"),
+            (sharded || idle, "a sequential engine counted backoff"),
+            (!sharded || as_oracle, "differs from its oracle row"),
+        ];
+        first_broken(&format!("record {i}: "), &rules)?;
+    }
+    let any = |row: &dyn Fn(&RunRecord) -> bool| records.iter().any(row);
+    let rules = [
+        // The sharded sweep runs clamp-off, so a completed Sharded(8)
+        // row is the gate that oversubscribed shards survive.
+        (any(&|r| r.exec_mode == "Sharded(8)"), "no Sharded(8) row"),
+        // The harness certifies every design point before timing it.
+        (any(&|r| r.certify_ms > 0.0), "no certificate timing"),
+    ];
+    first_broken("", &rules)
+}
+
+/// Rules for `BENCH_streaming.json`.
+fn check_streaming(records: &[StreamRecord]) -> Result<(), String> {
+    // Workers and shards may move wall time, never these.
+    let simulated = |r: &StreamRecord| {
+        let counts = (r.frames, r.solver_invocations, r.total_cycles);
+        let cycles = [r.p50_frame_cycles, r.p95_frame_cycles, r.max_frame_cycles];
+        (counts, cycles, r.energy_uj)
+    };
+    // The first 1-worker row of `r`'s stream that `pick` accepts.
+    let baseline = |r: &StreamRecord, pick: &dyn Fn(&StreamRecord) -> bool| {
+        records.iter().find(|b| {
+            b.workers == 1
+                && pick(b)
+                && (&b.pipeline, &b.source, &b.policy) == (&r.pipeline, &r.source, &r.policy)
+        })
+    };
+    for (i, r) in records.iter().enumerate() {
+        let private = baseline(r, &|b| b.cache == "private");
+        let totals = |s: &StreamRecord| (s.total_cycles, s.energy_uj);
+        let as_private = private.is_some_and(|b| totals(b) == totals(r));
+        let oracle = baseline(r, &|b| b.exec == "CycleAccurate");
+        let as_oracle = oracle.is_some_and(|b| simulated(b) == simulated(r));
+        // A Sharded(8) request folds to at most the host's core count.
+        let shards = r.exec_effective.strip_prefix("Sharded(");
+        let shards = shards.and_then(|s| s.strip_suffix(')')?.parse().ok());
+        let folded = shards.is_some_and(|s: u64| (1..=r.host_threads.min(8)).contains(&s));
+        let tier = ["private", "file-cold", "file-warm"].contains(&r.cache.as_str());
+        // The effective engine comes off the executed frames.
+        let resolved = !["Auto", ""].contains(&r.exec_effective.as_str());
+        let idle = [r.spins, r.yields, r.parks, r.wakes] == [0; 4];
+        let (sharded, ran_sharded) = (is_sharded(&r.exec), is_sharded(&r.exec_effective));
+        let (cold, warm) = (r.cache == "file-cold", r.cache == "file-warm");
+        let covered = r.scheduled_elements >= r.source_elements;
+        let solves = r.solver_invocations;
+        let rules = [
+            (r.all_clean, "a frame did not run clean"),
+            (solves <= r.frames, "more solves than frames"),
+            (covered, "fewer scheduled than source elements"),
+            (r.workers >= 1, "no workers"),
+            (r.host_threads >= 1, "no host threads"),
+            (tier, "an unknown cache tier"),
+            (resolved, "an unresolved effective engine"),
+            (ran_sharded || idle, "a sequential engine counted backoff"),
+            (!cold || solves > 0, "a file-cold row paid no solves"),
+            (!warm || solves == 0, "a file-warm row paid solves"),
+            (r.exec != "Sharded(8)" || folded, "Sharded(8) did not fold"),
+            (r.workers < 2 || as_private, "differs from its 1-worker row"),
+            (!sharded || as_oracle, "differs from its oracle row"),
+        ];
+        first_broken(&format!("record {i}: "), &rules)?;
+    }
+    let any = |row: &dyn Fn(&StreamRecord) -> bool| records.iter().any(row);
+    let rules = [
+        (any(&|r| r.workers > 1), "no parallel-workers row"),
+        (any(&|r| r.exec == "Sharded(8)"), "no Sharded(8) row"),
+        (any(&|r| r.cache == "file-cold"), "no file-cold row"),
+        (any(&|r| r.cache == "file-warm"), "no file-warm row"),
+    ];
+    first_broken("", &rules)
+}
+
+/// The QoS classes every server sweep reports, one row each.
+const QOS_CLASSES: [&str; 3] = ["interactive", "standard", "background"];
+
+/// Rules for `BENCH_server.json`.
+fn check_server(records: &[ServerRecord]) -> Result<(), String> {
+    for (i, r) in records.iter().enumerate() {
+        let class = QOS_CLASSES.contains(&r.qos.as_str()) || r.qos == "direct";
+        // No shed deadline is configured, so nothing may shed or degrade.
+        let served = (r.rejected, r.shed, r.degraded) == (0, 0, 0);
+        // The sharing contract: solves track compile keys, not tenants.
+        let shared = r.solver_invocations == r.distinct_keys;
+        let ordered = r.p50_ms <= r.p95_ms && r.p95_ms <= r.p99_ms && r.p99_ms <= r.max_ms;
+        let rules = [
+            (class, "an unknown QoS class"),
+            (r.all_clean, "a tenant did not finish cleanly"),
+            (served, "rejected, shed or degraded work"),
+            (shared, "solves differ from distinct keys"),
+            (ordered, "latency percentiles out of order"),
+        ];
+        first_broken(&format!("record {i}: "), &rules)?;
+    }
+    let mut sweeps: Vec<u64> = records.iter().map(|r| r.sweep_tenants).collect();
+    sweeps.sort_unstable();
+    sweeps.dedup();
+    for &n in &sweeps {
+        let in_sweep = |r: &&ServerRecord| r.sweep_tenants == n && r.qos != "direct";
+        let rows: Vec<&ServerRecord> = records.iter().filter(in_sweep).collect();
+        let complete = QOS_CLASSES.iter().all(|&c| rows.iter().any(|r| r.qos == c));
+        let tenants: u64 = rows.iter().map(|r| r.tenants).sum();
+        let admitted = rows.iter().all(|r| r.admitted == n);
+        let rules = [
+            (complete, "a class row is missing"),
+            (tenants == n, "class tenants do not sum to the sweep"),
+            (admitted, "admissions differ from the sweep"),
+        ];
+        first_broken(&format!("sweep {n}: "), &rules)?;
+    }
+    // The equivalence anchor: the serverless Session::stream run is
+    // cycle-identical to the single tenant the server ran.
+    let anchor = |qos: &str| {
+        let r = records
+            .iter()
+            .find(|r| r.sweep_tenants == 1 && r.qos == qos)?;
+        Some((r.total_cycles, r.frames, r.solver_invocations))
+    };
+    let direct = anchor("direct");
+    let rules = [
+        (sweeps.contains(&1), "no single-tenant sweep"),
+        (direct.is_some(), "no direct row"),
+        (direct == anchor("interactive"), "the direct row differs"),
+    ];
+    first_broken("", &rules)
+}
+
+/// A record field's JSON value type.
+trait Value: Sized {
+    /// The type's name in a reader error.
+    const KIND: &'static str;
+    fn to_json(&self) -> String;
+    fn from_json(value: &JsonValue) -> Option<Self>;
+}
+
+impl Value for u64 {
+    const KIND: &'static str = "an unsigned integer";
+    fn to_json(&self) -> String {
+        self.to_string()
+    }
+    fn from_json(value: &JsonValue) -> Option<Self> {
+        value.as_u64()
+    }
+}
+
+impl Value for f64 {
+    const KIND: &'static str = "a non-negative decimal";
+    fn to_json(&self) -> String {
+        json_f64(*self)
+    }
+    /// Accepts only a decimal token, as the writer always emits one.
+    fn from_json(value: &JsonValue) -> Option<Self> {
+        match value {
+            JsonValue::Num(raw) if raw.contains(['.', 'e', 'E']) => raw
+                .parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite() && *v >= 0.0),
+            _ => None,
         }
     }
+}
 
-    /// Appends one class record.
-    pub fn push(&mut self, record: ServerRecord) {
-        self.records.push(record);
+impl Value for bool {
+    const KIND: &'static str = "a boolean";
+    fn to_json(&self) -> String {
+        self.to_string()
     }
-
-    /// Number of collected records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The report as a JSON document.
-    pub fn to_json(&self) -> String {
-        let records: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"qos\": {}, \"sweep_tenants\": {}, \"tenants\": {}, \
-                     \"admitted\": {}, \"rejected\": {}, \"frames\": {}, \"shed\": {}, \
-                     \"degraded\": {}, \"total_cycles\": {}, \"p50_ms\": {}, \
-                     \"p95_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \"queue_ms\": {}, \
-                     \"exec_ms\": {}, \"solver_invocations\": {}, \"distinct_keys\": {}, \
-                     \"workers\": {}, \"host_threads\": {}, \"wall_time_ms\": {}, \
-                     \"all_clean\": {}}}",
-                    json_str(&r.qos),
-                    r.sweep_tenants,
-                    r.tenants,
-                    r.admitted,
-                    r.rejected,
-                    r.frames,
-                    r.shed,
-                    r.degraded,
-                    r.total_cycles,
-                    json_f64(r.p50_ms),
-                    json_f64(r.p95_ms),
-                    json_f64(r.p99_ms),
-                    json_f64(r.max_ms),
-                    json_f64(r.queue_ms),
-                    json_f64(r.exec_ms),
-                    r.solver_invocations,
-                    r.distinct_keys,
-                    r.workers,
-                    r.host_threads,
-                    json_f64(r.wall_time_ms),
-                    r.all_clean,
-                )
-            })
-            .collect();
-        json_document(&self.harness, self.seed, &records)
-    }
-
-    /// Writes the JSON document to `BENCH_server.json` (or the
-    /// `BENCH_SERVER_JSON` override) and returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_default(&self) -> io::Result<PathBuf> {
-        write_env_path("BENCH_SERVER_JSON", SERVER_PATH, &self.to_json())
+    fn from_json(value: &JsonValue) -> Option<Self> {
+        value.as_bool()
     }
 }
 
-/// The shared report envelope: `{"harness", "seed", "records": [...]}`
-/// over pre-rendered record objects. Both report types serialize
-/// through this, so their document shapes cannot drift apart.
-fn json_document(harness: &str, seed: u64, records: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"harness\": {},", json_str(harness));
-    let _ = writeln!(out, "  \"seed\": {},", seed);
-    out.push_str("  \"records\": [\n");
-    for (i, record) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        let _ = writeln!(out, "    {record}{comma}");
+impl Value for String {
+    const KIND: &'static str = "a string";
+    fn to_json(&self) -> String {
+        json_str(self)
     }
-    out.push_str("  ]\n}\n");
-    out
+    fn from_json(value: &JsonValue) -> Option<Self> {
+        value.as_str().map(str::to_owned)
+    }
 }
 
-/// Writes `json` to the `env_var` override path or `default`, returning
-/// the path written.
-fn write_env_path(env_var: &str, default: &str, json: &str) -> io::Result<PathBuf> {
-    let path = PathBuf::from(std::env::var(env_var).unwrap_or_else(|_| default.to_owned()));
-    fs::write(&path, json)?;
-    Ok(path)
+/// Requires `record` to be an object holding each of `keys` exactly once
+/// and nothing else.
+fn check_keys(record: &JsonValue, keys: &[&str]) -> Result<(), String> {
+    let JsonValue::Obj(fields) = record else {
+        return Err("not an object".to_owned());
+    };
+    if let Some((key, _)) = fields.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        return Err(format!("unknown key {key:?}"));
+    }
+    for key in keys {
+        match fields.iter().filter(|(k, _)| k == key).count() {
+            0 => return Err(format!("missing key {key:?}")),
+            1 => {}
+            _ => return Err(format!("duplicate key {key:?}")),
+        }
+    }
+    Ok(())
+}
+
+/// Reads `key` of a record whose key set [`check_keys`] accepted.
+fn field<T: Value>(record: &JsonValue, key: &str) -> Result<T, String> {
+    record
+        .get(key)
+        .and_then(T::from_json)
+        .ok_or_else(|| format!("{key:?} is not {}", T::KIND))
 }
 
 /// JSON string literal with minimal escaping (quotes, backslash,
@@ -687,7 +815,7 @@ mod tests {
 
     #[test]
     fn json_document_shape() {
-        let mut r = BenchReport::new("bench_engine", 1);
+        let mut r = BenchReport::new(1);
         r.push(record("classification"));
         r.push(record("registration"));
         let json = r.to_json();
@@ -722,7 +850,7 @@ mod tests {
 
     #[test]
     fn stream_json_document_shape() {
-        let mut r = StreamBenchReport::new("bench_streaming", 1);
+        let mut r = BenchReport::new(1);
         r.push(StreamRecord {
             pipeline: "registration".to_owned(),
             source: "lidar".to_owned(),
@@ -769,7 +897,7 @@ mod tests {
 
     #[test]
     fn server_json_document_shape() {
-        let mut r = ServerBenchReport::new("bench_server", 1);
+        let mut r = BenchReport::new(1);
         r.push(ServerRecord {
             qos: "interactive".to_owned(),
             sweep_tenants: 64,
@@ -806,6 +934,53 @@ mod tests {
         assert!(json.contains("\"distinct_keys\": 6"));
         assert!(json.contains("\"all_clean\": true"));
         assert!(json.trim_end().ends_with('}'));
+    }
+
+    /// Reading a committed document and writing it again reproduces it
+    /// byte for byte: the writer's envelope, key order and number
+    /// formatting are the ones the committed files were written with.
+    #[test]
+    fn writer_reproduces_the_committed_documents() {
+        fn round_trip<R: Record>(text: &str) -> String {
+            let doc = json::parse(text).expect("committed document parses");
+            BenchReport::<R>::from_value(&doc)
+                .expect("committed document reads")
+                .to_json()
+        }
+        let engine = include_str!("../../../BENCH_engine.json");
+        let streaming = include_str!("../../../BENCH_streaming.json");
+        let server = include_str!("../../../BENCH_server.json");
+        assert_eq!(round_trip::<RunRecord>(engine), engine);
+        assert_eq!(round_trip::<StreamRecord>(streaming), streaming);
+        assert_eq!(round_trip::<ServerRecord>(server), server);
+    }
+
+    #[test]
+    fn reader_requires_exact_keys_and_value_types() {
+        let good = json::parse(&record("classification").to_json()).expect("record parses");
+        assert_eq!(RunRecord::from_json(&good), Ok(record("classification")));
+        let JsonValue::Obj(fields) = good else {
+            unreachable!("a record is an object")
+        };
+        let with = |fields: Vec<(String, JsonValue)>| RunRecord::from_json(&JsonValue::Obj(fields));
+        let mut duplicate = fields.clone();
+        duplicate.push(fields[0].clone());
+        assert_eq!(
+            with(duplicate),
+            Err("duplicate key \"pipeline\"".to_owned())
+        );
+        let mut retyped = fields.clone();
+        retyped[1].1 = JsonValue::Num("4.0".to_owned());
+        assert_eq!(
+            with(retyped),
+            Err("\"n_chunks\" is not an unsigned integer".to_owned())
+        );
+        let mut integral = fields;
+        integral[11].1 = JsonValue::Num("1".to_owned());
+        assert_eq!(
+            with(integral),
+            Err("\"energy_uj\" is not a non-negative decimal".to_owned())
+        );
     }
 
     #[test]

@@ -77,7 +77,8 @@ pub struct AppSpec {
     pub domain: AppDomain,
     /// Algorithm name.
     pub algorithm: &'static str,
-    /// Evaluation datasets (synthetic stand-ins here; see DESIGN.md).
+    /// Evaluation datasets, by the paper's names; this repository runs the
+    /// seeded synthetic stand-ins in `streamgrid_pointcloud::datasets`.
     pub datasets: &'static [&'static str],
     /// Hardware baselines compared in Fig. 18.
     pub hardware_baselines: &'static [&'static str],

@@ -4,8 +4,7 @@
 //! OR-Tools; this crate is the from-scratch substitute: a modeling layer
 //! ([`Model`], [`LinExpr`]), a two-phase primal simplex, and best-first
 //! branch & bound for integer variables. Any exact solver returns the
-//! same optimum, so the substitution preserves the paper's results (see
-//! `DESIGN.md`).
+//! same optimum, so the substitution preserves the paper's results.
 //!
 //! The simplex keeps one flat row-major tableau in a workspace that a
 //! solve creates once and reuses for every branch & bound node's LP, and

@@ -8,8 +8,8 @@
 //! * [`grid`] — uniform chunk grids and chunk windows, the substrate of
 //!   the paper's *compulsory splitting* (Sec. 4.1);
 //! * [`datasets`] — seeded synthetic stand-ins for KITTI / ModelNet /
-//!   ShapeNet / Tanks&Temples (see `DESIGN.md` for the substitution
-//!   rationale);
+//!   ShapeNet / Tanks&Temples (the [`datasets`] module docs give the
+//!   substitution rationale);
 //! * [`codec`] — the quantized wire format points travel in on-chip.
 //!
 //! # Examples

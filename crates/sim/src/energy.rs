@@ -1,8 +1,8 @@
 //! Analytic energy model.
 //!
-//! Substitutes for the paper's PrimeTimePX + Artisan-compiler flow (see
-//! `DESIGN.md`). Constants follow the public literature the paper cites:
-//! DRAM access energy sits two orders of magnitude above SRAM
+//! Substitutes per-access constants for the paper's PrimeTimePX +
+//! Artisan-compiler power flow. The constants follow the public literature
+//! the paper cites: DRAM access energy sits two orders of magnitude above SRAM
 //! (Tetris \[19\], GANAX \[52\]); SRAM energy per access grows roughly with
 //! the square root of capacity (bit-line/word-line length). All variants
 //! share one model, so relative comparisons are meaningful even though

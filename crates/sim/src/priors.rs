@@ -1,7 +1,7 @@
 //! Analytic models of the five prior accelerators compared in Fig. 18.
 //!
-//! Substitution per `DESIGN.md`: no prior RTL or simulator is public
-//! enough to rebuild exactly, so each accelerator is modeled from its
+//! These are substitutes: no prior RTL or simulator is public enough to
+//! rebuild exactly, so each accelerator is modeled from its
 //! published dataflow, normalized to the same hardware budget the paper
 //! uses (256 PEs, comparable on-chip buffers). Cycles and energy are
 //! driven by *measured workload statistics* (traversal steps, MAC

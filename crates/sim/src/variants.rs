@@ -120,12 +120,13 @@ pub fn evaluate(
     config: &VariantConfig,
     energy_model: &EnergyModel,
 ) -> Result<VariantReport, OptimizeError> {
+    // Ceiling division, as `compile_spec` chunks: a floor would leave up
+    // to `n - 1` elements unscheduled.
+    let n = config.n_chunks.max(1);
+    let cs_chunk_elements = config.total_elements.div_ceil(n).max(1);
     let (chunk_elements, n_chunks) = match variant {
         Variant::Base | Variant::BaseCache => (config.total_elements, 1u64),
-        Variant::Cs | Variant::CsDt => {
-            let n = config.n_chunks.max(1);
-            (config.total_elements / n, n)
-        }
+        Variant::Cs | Variant::CsDt => (cs_chunk_elements, n),
     };
     let edges = edge_infos(graph, chunk_elements);
     let mut schedule = optimize(graph, &OptimizeConfig::new(chunk_elements))?;
@@ -179,13 +180,8 @@ pub fn evaluate(
     if matches!(variant, Variant::BaseCache) {
         // Replace the line buffers with a cache of the size the CS+DT
         // design would use (the paper's "comparable on-chip buffer").
-        let csdt_elements = {
-            let chunk = config.total_elements / config.n_chunks.max(1);
-            let csdt_edges = edge_infos(graph, chunk);
-            let csdt_schedule = optimize(graph, &OptimizeConfig::new(chunk))?;
-            let _ = csdt_edges;
-            csdt_schedule.total_buffer_elements
-        };
+        let csdt_elements =
+            optimize(graph, &OptimizeConfig::new(cs_chunk_elements))?.total_buffer_elements;
         let cache = CacheModel {
             capacity_bytes: csdt_elements * config.bytes_per_element,
             ..CacheModel::default()
@@ -311,6 +307,24 @@ mod tests {
         let csdt = evaluate(&pipeline(2), Variant::CsDt, &cfg, &em).unwrap();
         assert!(cs.onchip_bytes > csdt.onchip_bytes);
         assert!(cs.onchip_bytes < base.onchip_bytes);
+    }
+
+    #[test]
+    fn uneven_clouds_round_chunks_up() {
+        // 2,401 elements over 4 chunks need 601-element chunks, the same
+        // design 2,404 elements get; 600-element chunks would drop one.
+        let (graph, em) = (pipeline(2), EnergyModel::default());
+        let at = |elements, variant| {
+            evaluate(&graph, variant, &VariantConfig::new(elements), &em).unwrap()
+        };
+        for variant in [Variant::Cs, Variant::CsDt] {
+            assert_eq!(at(2401, variant), at(2404, variant), "{variant:?}");
+        }
+        // Base+$ sizes its cache from that CS+DT design.
+        assert_eq!(
+            at(2401, Variant::BaseCache).onchip_bytes,
+            at(2404, Variant::BaseCache).onchip_bytes
+        );
     }
 
     #[test]
