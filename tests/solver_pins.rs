@@ -18,11 +18,17 @@
 //! The pivot and node totals are pinned alongside each digest, so a
 //! failure says whether the search itself moved. On a mismatch the
 //! message prints the recomputed table.
+//!
+//! A third table pins only the optimum: the objective of each preset's
+//! pruned formulation over the same sizes, to a millionth. A solver
+//! change may move the trajectory (another optimal vertex, fewer nodes),
+//! but never the optimum, so this table must never be re-recorded.
 
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::StreamGrid;
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
+use streamgrid_dataflow::DataflowGraph;
 use streamgrid_ilp::Solution;
 use streamgrid_optimizer::{asap_schedule, build, edge_infos, FormulationKind, Schedule};
 
@@ -90,6 +96,15 @@ fn check(pinned: &[Pin], computed: &[(String, u64, u64, u64)]) {
     }
 }
 
+/// The two transforms every preset is pinned under.
+fn configs() -> [(&'static str, StreamGridConfig); 2] {
+    let split = SplitConfig::linear(CHUNKS as u32, 2);
+    [
+        ("cs", StreamGridConfig::cs(split)),
+        ("cs_dt", StreamGridConfig::cs_dt(split)),
+    ]
+}
+
 #[rustfmt::skip]
 const SCHEDULE_PINS: [Pin; 8] = [
     ("classification/cs",      10289, 454, 0x5f7b6962596a1172),
@@ -104,14 +119,9 @@ const SCHEDULE_PINS: [Pin; 8] = [
 
 #[test]
 fn preset_schedules_match_pinned_trajectories() {
-    let split = SplitConfig::linear(CHUNKS as u32, 2);
-    let configs = [
-        ("cs", StreamGridConfig::cs(split)),
-        ("cs_dt", StreamGridConfig::cs_dt(split)),
-    ];
     let mut computed = Vec::new();
     for spec in PipelineRegistry::with_paper_apps().specs() {
-        for (config_name, config) in configs {
+        for (config_name, config) in configs() {
             let fw = StreamGrid::new(config);
             let mut h = Fnv::new();
             let (mut pivots, mut nodes) = (0, 0);
@@ -130,6 +140,15 @@ fn preset_schedules_match_pinned_trajectories() {
     check(&SCHEDULE_PINS, &computed);
 }
 
+/// Builds `graph`'s ILP at `elements` per chunk under the makespan limit
+/// `optimize` uses, and solves it.
+fn solve_formulation(graph: &DataflowGraph, elements: u64, kind: FormulationKind) -> Solution {
+    let edges = edge_infos(graph, elements);
+    let (_, asap) = asap_schedule(graph, &edges);
+    let limit = asap + graph.node_count() as f64 + 1.0;
+    build(graph, elements, kind, limit).model.solve().unwrap()
+}
+
 #[rustfmt::skip]
 const FULL_PINS: [Pin; 2] = [
     ("Classification/900/16", 5462,  99, 0x4ad96c65b882a72a),
@@ -144,11 +163,7 @@ fn full_formulations_match_pinned_trajectories() {
         (AppDomain::Registration, 512, 64),
     ] {
         let graph = domain.spec().into_graph();
-        let edges = edge_infos(&graph, elements);
-        let (_, asap) = asap_schedule(&graph, &edges);
-        let limit = asap + graph.node_count() as f64 + 1.0;
-        let full = build(&graph, elements, FormulationKind::Full { stride }, limit);
-        let sol = full.model.solve().unwrap();
+        let sol = solve_formulation(&graph, elements, FormulationKind::Full { stride });
         let mut h = Fnv::new();
         fold_solution(&mut h, &sol);
         computed.push((
@@ -159,4 +174,44 @@ fn full_formulations_match_pinned_trajectories() {
         ));
     }
     check(&FULL_PINS, &computed);
+}
+
+#[rustfmt::skip]
+const OBJECTIVE_PINS: [(&str, u64); 8] = [
+    ("classification/cs",      0xc6e851d2d15ec92e),
+    ("classification/cs_dt",   0xc6e851d2d15ec92e),
+    ("neural_rendering/cs",    0x8a5724382cd4cf59),
+    ("neural_rendering/cs_dt", 0x8a5724382cd4cf59),
+    ("registration/cs",        0x8de50b082b310840),
+    ("registration/cs_dt",     0x8de50b082b310840),
+    ("segmentation/cs",        0xa6d2ddc148a05a49),
+    ("segmentation/cs_dt",     0xa6d2ddc148a05a49),
+];
+
+#[test]
+fn preset_optima_match_pinned_objectives() {
+    let mut computed = Vec::new();
+    for spec in PipelineRegistry::with_paper_apps().specs() {
+        for (config_name, config) in configs() {
+            let mut graph = spec.graph().clone();
+            config.apply(&mut graph);
+            let mut h = Fnv::new();
+            for chunk in CHUNK_SIZES {
+                let objective = solve_formulation(&graph, chunk, FormulationKind::Pruned).objective;
+                h.word((objective * 1e6).round() as i64 as u64);
+            }
+            computed.push((format!("{}/{config_name}", spec.name()), h.0));
+        }
+    }
+    let same = computed
+        .iter()
+        .map(|(name, digest)| (name.as_str(), *digest))
+        .eq(OBJECTIVE_PINS.iter().copied());
+    if !same {
+        let table: String = computed
+            .iter()
+            .map(|(name, digest)| format!("    ({name:?}, {digest:#018x}),\n"))
+            .collect();
+        panic!("an optimum moved; recomputed pins:\n{table}");
+    }
 }
