@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the core kernels: neighbor search
 //! variants (the Base vs CS vs CS+DT spectrum), sorting variants, the
-//! line-buffer ILP solve, the cycle-level engine's simulation rate, and
-//! the LiDAR scanner's cost per sweep.
+//! line-buffer ILP solve, a compiled design's certification, the
+//! cycle-level engine's simulation rate, and the LiDAR scanner's cost
+//! per sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -120,6 +121,20 @@ fn bench_optimizer(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_certify(c: &mut Criterion) {
+    // Full-lattice certification, which every cold compile runs after
+    // its solve, of the designs `line_buffer_ilp` solves.
+    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
+    let mut g = c.benchmark_group("certify");
+    for domain in AppDomain::ALL {
+        let compiled = fw.compile(domain, 4 * 1200).unwrap();
+        g.bench_function(format!("{domain:?}"), |b| {
+            b.iter(|| black_box(compiled.certify()))
+        });
+    }
+    g.finish();
+}
+
 fn bench_session(c: &mut Criterion) {
     // The amortization the Session cache buys: a warm `run` skips the
     // ILP solve entirely, so this should sit orders of magnitude under
@@ -210,6 +225,7 @@ criterion_group!(
     bench_knn,
     bench_sort,
     bench_optimizer,
+    bench_certify,
     bench_session,
     bench_engine,
     bench_lidar_scan

@@ -494,9 +494,14 @@ impl ScheduleCache for SharedCache {
 }
 
 /// Format version of [`FileCache`] entries; bump on layout changes so
-/// old files fall back to a clean solve instead of misparsing. Version 2
-/// adds `lp_iterations` to the summary.
-const FILE_FORMAT_VERSION: u64 = 2;
+/// old files fall back to a clean solve instead of misparsing, and on
+/// solver changes that return a different optimal vertex, so a warm
+/// directory never reports other start cycles than a cold solve of the
+/// same key. Version 2 adds `lp_iterations` to the summary; version 3
+/// marks schedules solved with the ILP's integer-row presolve, whose
+/// optima equal the old ones but whose vertices, node and pivot counts
+/// may not.
+const FILE_FORMAT_VERSION: u64 = 3;
 
 /// A schedule cache persisted to a directory, one JSON file per key —
 /// the cross-process tier: a bench sweep (or any fresh binary) pointed

@@ -1,17 +1,31 @@
 //! Branch & bound over the simplex LP relaxation.
 //!
 //! Best-first search on the relaxation bound; branching on the integer
-//! variable with the most fractional relaxation value. The line-buffer
-//! ILPs are near-integral (their constraint matrices are difference-like),
-//! so trees stay tiny, but the solver is a complete MILP solver and the
-//! test suite exercises genuinely fractional instances (knapsacks).
-//! Every node's relaxation is solved from scratch in one shared
-//! `LpWorkspace`, so the tree's order and node count depend only on
-//! the model.
+//! variable with the most fractional relaxation value. Every node's
+//! relaxation is solved from scratch in one shared `LpWorkspace`, so the
+//! tree's order and node count depend only on the model.
+//!
+//! # Presolve
+//!
+//! Before the first node, `presolve` rounds the right-hand side of
+//! every row whose terms are all integer variables with integer
+//! coefficients: its left-hand side can only take integer values, so
+//! `expr ≥ 3.7` holds at an integer point exactly when `expr ≥ 4` does.
+//! This is a Chvátal–Gomory cut with multiplier 1. It removes no integer
+//! point, so no optimum moves, but it removes the fractional vertices
+//! such a row creates. The line-buffer rows `t_C − t_P ≥ w` have
+//! fractional `w` (write and read durations), and their constraint
+//! matrix is difference-like, so after rounding the relaxation is
+//! almost always integral at the root: a line-buffer solve at the
+//! `cold-compile` benchmark's sizes takes one node, where it took about
+//! 38 without the presolve. The solver stays a complete MILP solver:
+//! rows with a fractional coefficient or a continuous variable are left
+//! as written, and the test suite exercises genuinely fractional
+//! instances (knapsacks).
 
 use std::collections::BinaryHeap;
 
-use crate::model::{Model, Sense};
+use crate::model::{CmpOp, Model, Sense};
 use crate::simplex::{LpOutcome, LpWorkspace};
 use crate::{Solution, SolveError, SolveOptions, SolveStatus};
 
@@ -44,6 +58,34 @@ impl Ord for NodeEntry {
     }
 }
 
+/// Each constraint's right-hand side with its expression's constant
+/// moved across, `rhs − constant`, rounded toward the feasible side
+/// when the row's terms are all integer variables with integer
+/// coefficients (`≥` up, `≤` down, to within `INT_TOL`; `=` rows stay).
+///
+/// The rounding applies to the model's own rows, before any node shifts
+/// a variable by its lower bound: the shifted right-hand side
+/// `r − Σ aⱼ·loⱼ` is fractional whenever a bound is, and rounding it
+/// would cut integer points off.
+pub(crate) fn presolve(model: &Model) -> Vec<f64> {
+    model
+        .constraints
+        .iter()
+        .map(|c| {
+            let r = c.rhs - c.expr.constant();
+            let integral = c
+                .expr
+                .iter()
+                .all(|(v, a)| model.vars[v.index()].integer && a == a.round());
+            match c.op {
+                CmpOp::Ge if integral => (r - INT_TOL).ceil(),
+                CmpOp::Le if integral => (r + INT_TOL).floor(),
+                _ => r,
+            }
+        })
+        .collect()
+}
+
 /// Solves `model` (LP or MILP).
 pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, SolveError> {
     if model.sense.is_none() {
@@ -54,11 +96,12 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
         _ => 1.0,
     };
     let root_bounds: Vec<(f64, f64)> = model.vars.iter().map(|v| (v.lower, v.upper)).collect();
+    let row_rhs = presolve(model);
     let mut lp = LpWorkspace::default();
 
     // Pure LP fast path.
     if !model.has_integers() {
-        return Ok(match lp.solve(model, &root_bounds) {
+        return Ok(match lp.solve(model, &row_rhs, &root_bounds) {
             LpOutcome::Optimal {
                 values,
                 objective,
@@ -99,7 +142,7 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
                 continue;
             }
         }
-        let (values, obj_min, iters) = match lp.solve(model, &bounds) {
+        let (values, obj_min, iters) = match lp.solve(model, &row_rhs, &bounds) {
             LpOutcome::Optimal {
                 values,
                 objective,
@@ -191,9 +234,48 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<Solution, S
 
 #[cfg(test)]
 mod tests {
+    use super::presolve;
     use crate::expr::LinExpr;
     use crate::model::{CmpOp, Model, Sense};
     use crate::{SolveOptions, SolveStatus};
+
+    #[test]
+    fn presolve_rounds_only_integer_rows() {
+        let mut m = Model::new();
+        let x = m.add_var("x", 0.5, 9.0, true);
+        let y = m.add_var("y", 0.0, 9.0, true);
+        let z = m.add_var("z", 0.0, 9.0, false);
+        let diff = LinExpr::from(x) - LinExpr::from(y);
+        m.add_constraint("ge", diff.clone(), CmpOp::Ge, 3.7);
+        m.add_constraint("le", diff.clone() * 2.0, CmpOp::Le, 3.7);
+        m.add_constraint("eq", diff.clone(), CmpOp::Eq, 3.7);
+        m.add_constraint("constant", diff.clone() + 0.5, CmpOp::Ge, 3.7);
+        m.add_constraint("noise", diff.clone(), CmpOp::Ge, 3.0 + 1e-9);
+        m.add_constraint("half", diff.clone() * 0.5, CmpOp::Ge, 3.7);
+        m.add_constraint("continuous", diff + LinExpr::from(z), CmpOp::Ge, 3.7);
+        assert_eq!(presolve(&m), [4.0, 3.0, 3.7, 4.0, 3.0, 3.7, 3.7]);
+    }
+
+    #[test]
+    fn fractional_difference_rows_solve_at_the_root() {
+        // A line-buffer-like chain: min t2 s.t. t0 = 0, t1 − t0 ≥ 3.7,
+        // t2 − t1 ≥ 2.2. The relaxation of the model as written stops
+        // at t = (0, 3.7, 5.9); rounding the rows makes it integral.
+        let mut m = Model::new();
+        let t: Vec<_> = (0..3)
+            .map(|i| m.add_var(&format!("t{i}"), 0.0, f64::INFINITY, true))
+            .collect();
+        m.add_constraint("src", LinExpr::from(t[0]), CmpOp::Eq, 0.0);
+        for (i, w) in [(1, 3.7), (2, 2.2)] {
+            let gap = LinExpr::from(t[i]) - LinExpr::from(t[i - 1]);
+            m.add_constraint(&format!("dep{i}"), gap, CmpOp::Ge, w);
+        }
+        m.set_objective(LinExpr::from(t[2]), Sense::Minimize);
+        let s = m.solve().unwrap();
+        assert_eq!(s.status, SolveStatus::Optimal);
+        assert_eq!(s.values, [0.0, 4.0, 7.0]);
+        assert_eq!(s.nodes, 1);
+    }
 
     #[test]
     fn integral_lp_stays_integral() {

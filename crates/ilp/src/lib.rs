@@ -6,6 +6,18 @@
 //! branch & bound for integer variables. Any exact solver returns the
 //! same optimum, so the substitution preserves the paper's results.
 //!
+//! Before the first branch & bound node, a presolve rounds the
+//! right-hand side of every row whose terms are all integer variables
+//! with integer coefficients toward its feasible side (`x − y ≥ 3.7`
+//! becomes `x − y ≥ 4`). Only integer values of such a row's left-hand
+//! side exist, so the rounding keeps every integer point and every
+//! optimum, though the solve may return another optimal vertex than the
+//! model as written would. The line-buffer ILPs are built from exactly
+//! these rows (integer start cycles, fractional durations), and after
+//! rounding their relaxation is almost always integral at the root: a
+//! solve takes one node instead of dozens. The model itself is never
+//! rewritten.
+//!
 //! The simplex keeps one flat row-major tableau in a workspace that a
 //! solve creates once and reuses for every branch & bound node's LP, and
 //! each pivot updates only the pivot row's nonzero columns in the rows

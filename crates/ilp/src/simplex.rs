@@ -2,13 +2,16 @@
 //!
 //! Sized for the line-buffer optimizer's problems (tens of variables,
 //! up to a few thousand constraints after pruning — see the constraint-
-//! pruning ablation). Variables are shifted to `x = lo + x'` with
-//! `x' ≥ 0`; each constraint and each finite upper bound (`x' ≤ hi − lo`)
-//! is one row, flipped so its right-hand side is non-negative, with a
-//! slack or surplus column and, where no slack can start basic, an
-//! artificial column. Phase 1 minimizes the artificials, phase 2 the
-//! objective. Entering columns follow Dantzig's rule until the iteration
-//! count passes a threshold, then Bland's rule guards against cycling.
+//! pruning ablation). Each constraint's right-hand side arrives from
+//! the caller with the expression's constant moved across (and, for
+//! integer rows, rounded by the branch & bound presolve). Variables are
+//! then shifted to `x = lo + x'` with `x' ≥ 0`; each constraint and
+//! each finite upper bound (`x' ≤ hi − lo`) is one row, flipped so its
+//! right-hand side is non-negative, with a slack or surplus column and,
+//! where no slack can start basic, an artificial column. Phase 1
+//! minimizes the artificials, phase 2 the objective. Entering columns
+//! follow Dantzig's rule until the iteration count passes a threshold,
+//! then Bland's rule guards against cycling.
 //!
 //! # Workspace
 //!
@@ -87,17 +90,25 @@ pub(crate) struct LpWorkspace {
 }
 
 impl LpWorkspace {
-    /// Solves the LP relaxation of `model` with per-variable bound
-    /// overrides (used by branch & bound).
-    pub(crate) fn solve(&mut self, model: &Model, bounds: &[(f64, f64)]) -> LpOutcome {
+    /// Solves the LP relaxation of `model` with constraint `i`'s
+    /// right-hand side replaced by `row_rhs[i]` (`expr` without its
+    /// constant on the left; see `branch_bound::presolve`) and with
+    /// per-variable bound overrides (used by branch & bound).
+    pub(crate) fn solve(
+        &mut self,
+        model: &Model,
+        row_rhs: &[f64],
+        bounds: &[(f64, f64)],
+    ) -> LpOutcome {
         let n = model.var_count();
         debug_assert_eq!(bounds.len(), n);
+        debug_assert_eq!(row_rhs.len(), model.constraint_count());
         // Reject empty domains immediately (branching can create them).
         if bounds.iter().any(|&(lo, hi)| lo > hi + FEAS_TOL) {
             return LpOutcome::Infeasible;
         }
 
-        let (art_start, art_end) = self.load(model, bounds);
+        let (art_start, art_end) = self.load(model, row_rhs, bounds);
         let m = self.basic.len();
         let rhs_col = self.stride - 1;
         // The Bland threshold counts one artificial column per row, as a
@@ -170,21 +181,22 @@ impl LpWorkspace {
     }
 
     /// Writes the phase-1 tableau, basis and objective for `model` under
-    /// `bounds`. Column layout: `[structural n][slack/surplus]
-    /// [artificial][rhs]`. Returns the artificial columns' range.
-    fn load(&mut self, model: &Model, bounds: &[(f64, f64)]) -> (usize, usize) {
+    /// `row_rhs` and `bounds`. Column layout: `[structural n]
+    /// [slack/surplus][artificial][rhs]`. Returns the artificial
+    /// columns' range.
+    fn load(&mut self, model: &Model, row_rhs: &[f64], bounds: &[(f64, f64)]) -> (usize, usize) {
         let n = model.var_count();
         // Shift x = lo + x'. Constraint rows first, then one row
         // x' <= hi - lo per finite upper bound; every bound row is `Le`.
         self.rhs.clear();
         let mut slack_count = 0usize;
         let mut art_count = 0usize;
-        for c in &model.constraints {
-            let mut shift = c.expr.constant();
+        for (c, &r) in model.constraints.iter().zip(row_rhs) {
+            let mut shift = 0.0;
             for (v, coef) in c.expr.iter() {
                 shift += coef * bounds[v.index()].0;
             }
-            let rhs = c.rhs - shift;
+            let rhs = r - shift;
             self.rhs.push(rhs);
             slack_count += usize::from(c.op != CmpOp::Eq);
             art_count += usize::from(needs_artificial(c.op, rhs));
@@ -375,6 +387,7 @@ fn subtract_pivot_row(target: &mut [f64], f: f64, cols: &[usize], vals: &[f64]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_bound::presolve;
     use crate::expr::LinExpr;
     use crate::model::Model;
 
@@ -383,7 +396,7 @@ mod tests {
     }
 
     fn solve_lp(m: &Model, bounds: &[(f64, f64)]) -> LpOutcome {
-        LpWorkspace::default().solve(m, bounds)
+        LpWorkspace::default().solve(m, &presolve(m), bounds)
     }
 
     #[test]
@@ -563,7 +576,11 @@ mod tests {
         ];
         let mut ws = LpWorkspace::default();
         for (m, bounds) in &cases {
-            assert_eq!(ws.solve(m, bounds), solve_lp(m, bounds), "{bounds:?}");
+            assert_eq!(
+                ws.solve(m, &presolve(m), bounds),
+                solve_lp(m, bounds),
+                "{bounds:?}"
+            );
         }
     }
 

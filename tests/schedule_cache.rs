@@ -224,6 +224,14 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
             let text = fs::read_to_string(path).unwrap();
             fs::write(path, &text[..text.len() / 2]).unwrap();
         },
+        // A well-formed entry from format version 2, whose solver could
+        // return another optimal vertex.
+        |path: &PathBuf| {
+            let text = fs::read_to_string(path).unwrap();
+            let old = text.replacen("\"version\": 3,", "\"version\": 2,", 1);
+            assert_ne!(old, text, "entries start with their version");
+            fs::write(path, old).unwrap();
+        },
     ]
     .iter()
     .enumerate()
