@@ -500,9 +500,9 @@ impl StreamServer {
         };
 
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| worker_loop(&shared));
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| worker_loop(&shared)))
+                .collect();
             schedule(
                 &shared,
                 &config,
@@ -511,6 +511,14 @@ impl StreamServer {
                 &mut ledger,
                 &mut waitlist,
             );
+            // Join every worker instead of leaving it to the scope, which
+            // only waits for the closures: a thread still exiting after
+            // `run` returns holds its allocator arena, so the next
+            // server's workers could open a fresh arena and the process's
+            // resident memory would depend on thread timing.
+            for handle in handles {
+                handle.join().expect("workers do not panic");
+            }
         });
 
         let state = shared
