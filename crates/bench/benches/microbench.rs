@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks of the core kernels: neighbor search
 //! variants (the Base vs CS vs CS+DT spectrum), sorting variants, the
 //! line-buffer ILP solve, a compiled design's certification, the
-//! cycle-level engine's simulation rate, and the LiDAR scanner's cost
-//! per sweep.
+//! cycle-level engine's simulation rate, the whole per-frame `execute`
+//! call, and the LiDAR scanner's cost per sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use streamgrid_core::apps::AppDomain;
-use streamgrid_core::framework::StreamGrid;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
 use streamgrid_pointcloud::datasets::lidar::{scan, trajectory, LidarConfig, Scene};
@@ -184,6 +184,29 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_engine_frame(c: &mut Criterion) {
+    // The whole call a warm frame pays after its cache hit:
+    // `CompiledPipeline::execute` with the domain's default options, so
+    // engine selection and report assembly are timed with the run
+    // (`engine_cls` calls `run_with` directly). The designs are
+    // `server-mix`'s at 1200 elements and the 4608-element LiDAR sweep
+    // bucket `lidar-stream` executes.
+    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
+    let mut g = c.benchmark_group("engine_frame");
+    for (domain, elements) in [
+        (AppDomain::Classification, 1200u64),
+        (AppDomain::Registration, 1200),
+        (AppDomain::Registration, 4608),
+    ] {
+        let compiled = fw.compile(domain, elements).unwrap();
+        let options = ExecuteOptions::for_domain(domain);
+        g.bench_function(format!("{domain:?}_{elements}"), |b| {
+            b.iter(|| black_box(compiled.execute(&options)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_lidar_scan(c: &mut Criterion) {
     // One sweep per iteration, cycling through a drive's poses: the
     // `lidar-stream` benchmark's sweep (6 × 300 through a 14-box,
@@ -228,6 +251,7 @@ criterion_group!(
     bench_certify,
     bench_session,
     bench_engine,
+    bench_engine_frame,
     bench_lidar_scan
 );
 criterion_main!(benches);

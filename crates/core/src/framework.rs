@@ -144,13 +144,21 @@ pub enum ExecMode {
 impl ExecMode {
     /// The concrete engine this mode resolves to for a design with the
     /// given latency model — what [`ExecutionReport::exec_mode`]
-    /// records. Reads the host's available parallelism for the shard
-    /// clamp; see [`ExecMode::resolve_with`] for the pure policy.
+    /// records. Only `Sharded(n)` reads the host's available
+    /// parallelism, for the shard clamp; every other mode resolves
+    /// through [`ExecMode::resolve_uncapped`] without a system call,
+    /// which matters because [`CompiledPipeline::execute`] resolves once
+    /// per frame. See [`ExecMode::resolve_with`] for the pure policy.
     pub fn resolve(self, latency: GlobalLatencyModel) -> EngineMode {
-        let host_threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.resolve_with(latency, host_threads)
+        match self {
+            ExecMode::Sharded(_) => {
+                let host_threads = std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1);
+                self.resolve_with(latency, host_threads)
+            }
+            other => other.resolve_uncapped(latency),
+        }
     }
 
     /// [`ExecMode::resolve`] with the host thread count injected —

@@ -270,8 +270,12 @@ impl Session {
             .exec
             .unwrap_or_else(|| ExecuteOptions::for_spec(&self.spec));
         let solves_before = self.cache.solver_invocations();
+        // Reserve for the frames this call can pull: the source's hint,
+        // at most `max_frames`, and never more than 2^16 up front.
         let (lower, upper) = source.size_hint();
-        let capacity = upper.unwrap_or(lower).min(1 << 16);
+        let capacity = (upper.unwrap_or(lower) as u64)
+            .min(options.max_frames.unwrap_or(u64::MAX))
+            .min(1 << 16) as usize;
         // Phase 1: pull and compile in arrival order on this thread —
         // cache behavior and solve counts are identical no matter how
         // many workers execute later.
@@ -598,6 +602,14 @@ mod tests {
             .unwrap();
         assert_eq!(report.solver_invocations, 0);
         assert_eq!(s.solver_invocations(), 1);
+        // Every frame hit the cache: infinitely many frames per solve.
+        assert_eq!(report.frames_per_solve(), f64::INFINITY);
+        // An empty stream pays no solve and executes nothing: 0, not 0/0.
+        let empty = s
+            .stream(ReplaySource::new(&[]), &StreamOptions::default())
+            .unwrap();
+        assert_eq!(empty.solver_invocations, 0);
+        assert_eq!(empty.frames_per_solve(), 0.0);
     }
 
     #[test]

@@ -454,8 +454,12 @@ impl StreamReport {
     }
 
     /// Frames executed per ILP solve paid — the amortization factor
-    /// bucketing buys. Infinite when the whole stream hit the cache.
+    /// bucketing buys. Infinite when a non-empty stream hit the cache on
+    /// every frame; 0 for an empty stream, which executed nothing.
     pub fn frames_per_solve(&self) -> f64 {
+        if self.frames.is_empty() {
+            return 0.0;
+        }
         self.frames.len() as f64 / self.solver_invocations as f64
     }
 

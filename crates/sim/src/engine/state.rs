@@ -289,6 +289,36 @@ pub(super) struct CycleAcct {
     pub(super) dram_read_bytes: u64,
 }
 
+/// What the read-share cap allows one write of `want` elements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cap {
+    /// The whole `want` fits under the cap, with this much margin in the
+    /// scaled units of [`SpanWatch::cap_slack`] (always ≥ 1).
+    Full { slack: u128 },
+    /// The cap binds: at most this many (fewer than `want`) elements.
+    Cut(u64),
+}
+
+/// The read-share cap on a write of `want` (≥ 1) elements to an edge of
+/// `volume` elements per chunk, `written` of which are out, by a stage
+/// that has read `read_done` of its `read_total`: cumulative output may
+/// reach `⌈read_done · volume / read_total⌉`. Since `⌈x⌉ ≥ m ⇔ x > m − 1`
+/// for whole `m`, the full `want` fits exactly when `read_done · volume >
+/// (written + want − 1) · read_total`; that test multiplies only, and
+/// the division runs only when the cap binds.
+fn read_share_cap(read_done: u64, read_total: u64, volume: u64, written: u64, want: u64) -> Cap {
+    let done = read_done as u128 * volume as u128;
+    let limit = (written + want - 1) as u128 * read_total as u128;
+    if done > limit {
+        Cap::Full {
+            slack: done - limit,
+        }
+    } else {
+        let share = done.div_ceil(read_total as u128) as u64;
+        Cap::Cut(share.saturating_sub(written))
+    }
+}
+
 /// Steps one stage for cycle `now`: read phase, depth-gated write phase,
 /// and chunk-completion check. The caller has already verified the stage
 /// is [`StageState::active`] and [`StageState::tick`]ed. Returns the
@@ -361,26 +391,31 @@ pub(super) fn step_stage<IO: EdgeIo>(
                 if want == 0 {
                     continue;
                 }
-                let cap = if stage.read_total > 0 {
-                    let vol = edge_volume[e] as u128;
-                    let read_total = stage.read_total as u128;
-                    let done_share = (stage.read_done as u128 * vol).div_ceil(read_total) as u64;
+                let n = if stage.read_total > 0 {
                     let written = edge_volume[e] - remaining;
-                    let cap = done_share.saturating_sub(written);
-                    if IO::WATCH {
-                        if cap < want {
-                            io.clamped();
-                        } else {
-                            // cap ≥ want ⇔ read_done · vol > (written + want − 1) · read_total.
-                            let limit = (written + want - 1) as u128 * read_total;
-                            io.cap_slack(e, stage.read_done as u128 * vol - limit);
+                    match read_share_cap(
+                        stage.read_done,
+                        stage.read_total,
+                        edge_volume[e],
+                        written,
+                        want,
+                    ) {
+                        Cap::Full { slack } => {
+                            if IO::WATCH {
+                                io.cap_slack(e, slack);
+                            }
+                            want
+                        }
+                        Cap::Cut(cap) => {
+                            if IO::WATCH {
+                                io.clamped();
+                            }
+                            cap
                         }
                     }
-                    cap
                 } else {
                     want
                 };
-                let n = want.min(cap);
                 if n == 0 {
                     continue;
                 }
@@ -867,9 +902,13 @@ impl EngineState {
             for (steps, acc) in [(reads, &s.read_acc), (writes, &s.write_acc)] {
                 if steps {
                     moving = true;
-                    period = (period / gcd(period, acc.period))
-                        .checked_mul(acc.period)
-                        .filter(|&lcm| lcm <= limit)?;
+                    // A whole rate (period 1) or a period that already
+                    // divides the running one leaves the lcm as it is.
+                    if acc.period > 1 && !period.is_multiple_of(acc.period) {
+                        period = (period / gcd(period, acc.period))
+                            .checked_mul(acc.period)
+                            .filter(|&lcm| lcm <= limit)?;
+                    }
                 }
             }
         }
@@ -1049,5 +1088,70 @@ impl EngineState {
             stepped_cycles: self.stepped_cycles,
             backoff: self.backoff,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cap by its definition: the rounded-up share by division, then
+    /// `min`, with the margin taken only when it admits the whole write.
+    /// Returns `(n, clamped, slack)`.
+    fn cap_by_division(
+        read_done: u64,
+        read_total: u64,
+        volume: u64,
+        written: u64,
+        want: u64,
+    ) -> (u64, bool, Option<u128>) {
+        let done = read_done as u128 * volume as u128;
+        let share = done.div_ceil(read_total as u128) as u64;
+        let cap = share.saturating_sub(written);
+        if cap < want {
+            (want.min(cap), true, None)
+        } else {
+            let limit = (written + want - 1) as u128 * read_total as u128;
+            (want.min(cap), false, Some(done - limit))
+        }
+    }
+
+    #[test]
+    fn read_share_cap_matches_the_division_exhaustively() {
+        let mut cuts = 0u64;
+        let mut fulls = 0u64;
+        for read_done in 0..=24u64 {
+            for read_total in 1..=12u64 {
+                for volume in 1..=12u64 {
+                    for written in 0..=volume {
+                        for want in 1..=4u64 {
+                            let expected =
+                                cap_by_division(read_done, read_total, volume, written, want);
+                            let got = match read_share_cap(
+                                read_done, read_total, volume, written, want,
+                            ) {
+                                Cap::Full { slack } => {
+                                    fulls += 1;
+                                    (want, false, Some(slack))
+                                }
+                                Cap::Cut(cap) => {
+                                    cuts += 1;
+                                    assert!(cap < want, "a cut must be below want");
+                                    (cap, true, None)
+                                }
+                            };
+                            assert_eq!(
+                                got, expected,
+                                "read {read_done}/{read_total}, volume {volume}, \
+                                 written {written}, want {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Both outcomes are exercised, as is a zero cut.
+        assert!(cuts > 0 && fulls > 0);
+        assert_eq!(read_share_cap(0, 5, 5, 0, 1), Cap::Cut(0));
     }
 }

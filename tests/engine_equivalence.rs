@@ -23,20 +23,28 @@ use streamgrid_sim::{run_with, BufferPolicy, EnergyModel, EngineConfig, EngineMo
 /// have stages (8) so the never-empty-cut clamp is exercised.
 const SHARD_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
+/// Sizes `server-mix` streams at four chunks: its three base sizes and a
+/// late compile key of each (the benchmark shifts sizes by multiples of
+/// four elements). 1200 (4 × 300) is already in the sweep below.
+const SERVER_MIX_SIZES: [u64; 5] = [2400, 3600, 1240, 2440, 3640];
+
 /// Every registry preset, across chunk counts spanning warm-up-only runs
-/// (1 chunk) to steady-state-dominated sweeps: all engines, one report.
+/// (1 chunk) to steady-state-dominated sweeps, and at the sizes
+/// `server-mix` runs: all engines, one report.
 #[test]
 fn registry_presets_equivalent_across_chunk_counts() {
     let registry = PipelineRegistry::with_paper_apps();
+    let designs = [1u64, 2, 4, 9, 16, 48]
+        .map(|n_chunks| (n_chunks, n_chunks * 300))
+        .into_iter()
+        .chain(SERVER_MIX_SIZES.map(|elements| (4, elements)));
     for spec in registry.specs() {
-        for n_chunks in [1u64, 2, 4, 9, 16, 48] {
+        for (n_chunks, elements) in designs.clone() {
             let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(
                 n_chunks as u32,
                 2,
             )));
-            let compiled = fw
-                .compile_spec(spec, n_chunks * 300)
-                .expect("preset compiles");
+            let compiled = fw.compile_spec(spec, elements).expect("preset compiles");
             let oracle = compiled
                 .execute(&ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::CycleAccurate));
             let event = compiled
@@ -46,9 +54,10 @@ fn registry_presets_equivalent_across_chunk_counts() {
             assert_eq!(
                 oracle.run,
                 event.run,
-                "{} at {} chunks: engines diverged",
+                "{} at {} chunks, {} elements: engines diverged",
                 spec.name(),
-                n_chunks
+                n_chunks,
+                elements
             );
             for shards in SHARD_SWEEP {
                 // Clamp off: the sweep's point is running the *real*
@@ -64,9 +73,10 @@ fn registry_presets_equivalent_across_chunk_counts() {
                 assert_eq!(
                     oracle.run,
                     sharded.run,
-                    "{} at {} chunks / {} shards: sharded engine diverged",
+                    "{} at {} chunks, {} elements / {} shards: sharded engine diverged",
                     spec.name(),
                     n_chunks,
+                    elements,
                     shards
                 );
             }
