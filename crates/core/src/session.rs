@@ -21,7 +21,9 @@ use std::sync::Arc;
 use crate::cache::{spec_fingerprint, CompileRequest, InMemoryCache, ScheduleCache};
 use crate::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport};
 use crate::pipeline::{CompileError, PipelineSpec};
-use crate::source::{FrameReport, FrameSource, ReplaySource, StreamOptions, StreamReport};
+use crate::source::{
+    Frame, FrameReport, FrameSource, ReplaySource, SizeBucketing, StreamOptions, StreamReport,
+};
 use crate::transform::StreamGridConfig;
 
 /// A reusable execution session over one [`PipelineSpec`].
@@ -208,25 +210,50 @@ impl Session {
         Ok(compiled)
     }
 
+    /// The per-frame step of [`Session::stream`] and of the serving
+    /// layer's scheduler: rounds `frame` up to its `bucketing` bucket
+    /// and compiles that size through [`Session::compiled`]. The
+    /// result's [`CompiledFrame::solves`] is the cache's solve-counter
+    /// delta around the compile, exact whenever one thread compiles
+    /// through the cache.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompileError`] from the compile path.
+    pub fn compile_frame(
+        &mut self,
+        frame: Frame,
+        bucketing: SizeBucketing,
+    ) -> Result<CompiledFrame, CompileError> {
+        let scheduled_elements = bucketing.bucket(frame.elements);
+        let solves_before = self.cache.solver_invocations();
+        let design = self.compiled(scheduled_elements)?;
+        Ok(CompiledFrame {
+            frame,
+            scheduled_elements,
+            design,
+            solves: self.cache.solver_invocations() - solves_before,
+        })
+    }
+
     /// Streams every frame of `source` through the compiled pipeline
     /// and returns a [`StreamReport`]: per-frame execution reports plus
     /// stream-level aggregates (total cycles, energy, frames per solve,
     /// p50/p95/max frame cycles).
     ///
-    /// Each frame's size is rounded up to its
-    /// [`StreamOptions::bucketing`] bucket before compiling, so a
+    /// Each frame goes through [`Session::compile_frame`], which rounds
+    /// its size up to its [`StreamOptions::bucketing`] bucket, so a
     /// stream of near-identical sweep sizes hits the `(config,
     /// chunk_elements)` compile cache instead of paying one ILP solve
-    /// per unique frame size; [`StreamReport::solver_invocations`]
-    /// records the solves this stream actually paid (the cache-counter
-    /// delta — with a cache shared across concurrently-streaming
-    /// sessions the delta can include their solves too).
+    /// per unique frame size. [`StreamReport::solver_invocations`] is
+    /// the sum of the frames' compile deltas, exact whenever one thread
+    /// compiles through the cache.
     ///
-    /// With [`StreamOptions::workers`] > 1 the frame *executions* fan
-    /// out across that many scoped threads. Frames are pulled and
-    /// compiled on the calling thread in arrival order (so solver
-    /// accounting is unchanged), each execution writes an ordered result
-    /// slot, and execution is deterministic — the report is bit-identical
+    /// Every frame is pulled and compiled, on the calling thread and in
+    /// arrival order, before any executes. With
+    /// [`StreamOptions::workers`] > 1 the *executions* then fan out
+    /// across that many scoped threads, each writing an ordered result
+    /// slot; execution is deterministic, so the report is bit-identical
     /// to the sequential one.
     ///
     /// # Errors
@@ -269,7 +296,6 @@ impl Session {
         let exec = options
             .exec
             .unwrap_or_else(|| ExecuteOptions::for_spec(&self.spec));
-        let solves_before = self.cache.solver_invocations();
         // Reserve for the frames this call can pull: the source's hint,
         // at most `max_frames`, and never more than 2^16 up front.
         let (lower, upper) = source.size_hint();
@@ -279,37 +305,21 @@ impl Session {
         // Phase 1: pull and compile in arrival order on this thread —
         // cache behavior and solve counts are identical no matter how
         // many workers execute later.
-        let mut frames: Vec<(crate::source::Frame, u64)> = Vec::with_capacity(capacity);
-        let mut compiled: Vec<Arc<CompiledPipeline>> = Vec::with_capacity(capacity);
-        loop {
-            if options
-                .max_frames
-                .is_some_and(|max| frames.len() as u64 >= max)
-            {
-                break;
-            }
+        let mut compiled: Vec<CompiledFrame> = Vec::with_capacity(capacity);
+        while options
+            .max_frames
+            .is_none_or(|max| (compiled.len() as u64) < max)
+        {
             let Some(frame) = source.next_frame() else {
                 break;
             };
-            let scheduled_elements = options.bucketing.bucket(frame.elements);
-            compiled.push(self.compiled(scheduled_elements)?);
-            frames.push((frame, scheduled_elements));
+            compiled.push(self.compile_frame(frame, options.bucketing)?);
         }
         // Phase 2: execute — inline, or overlapped across workers with
         // one ordered result slot per frame.
-        let reports = execute_ordered(&compiled, &exec, options.workers);
-        let frames = frames
-            .into_iter()
-            .zip(reports)
-            .map(|((frame, scheduled_elements), report)| FrameReport {
-                frame,
-                scheduled_elements,
-                report,
-            })
-            .collect();
         Ok(StreamReport {
-            frames,
-            solver_invocations: self.cache.solver_invocations() - solves_before,
+            frames: execute_ordered(&compiled, &exec, options.workers),
+            solver_invocations: compiled.iter().map(|f| f.solves).sum(),
             bucketing: options.bucketing,
         })
     }
@@ -362,36 +372,37 @@ impl Session {
         let report = self.stream(ReplaySource::new(sizes), &StreamOptions::default())?;
         Ok(report.frames.into_iter().map(|f| f.report).collect())
     }
+}
 
-    /// [`Session::run_batch`] with the cycle-level executions fanned out
-    /// across all available cores — a thin wrapper over the same ordered
-    /// executor [`Session::stream`] uses for [`StreamOptions::workers`].
-    /// All distinct keys compile up front (sequential ILP solves);
-    /// execution is deterministic, so reports are identical to the
-    /// sequential batch, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CompileError`] from the compile path.
-    pub fn run_batch_parallel(
-        &mut self,
-        sizes: &[u64],
-    ) -> Result<Vec<ExecutionReport>, CompileError> {
-        let options = ExecuteOptions::for_spec(&self.spec);
-        let compiled: Vec<Arc<CompiledPipeline>> = sizes
-            .iter()
-            .map(|&total| self.compiled(total))
-            .collect::<Result<_, _>>()?;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Ok(execute_ordered(&compiled, &options, workers))
+/// One frame after [`Session::compile_frame`]: bucketed, compiled
+/// through the session's cache, and ready to execute.
+#[derive(Debug, Clone)]
+pub struct CompiledFrame {
+    /// The frame as the source produced it.
+    pub frame: Frame,
+    /// Elements the design provisions for (the frame's bucket;
+    /// `>= frame.elements`).
+    pub scheduled_elements: u64,
+    /// The compiled design for `scheduled_elements`.
+    pub design: Arc<CompiledPipeline>,
+    /// ILP solves this compile paid: 0 on a cache hit.
+    pub solves: u64,
+}
+
+impl CompiledFrame {
+    /// Executes the frame's design into its [`FrameReport`].
+    pub fn execute(&self, options: &ExecuteOptions) -> FrameReport {
+        FrameReport {
+            frame: self.frame,
+            scheduled_elements: self.scheduled_elements,
+            report: self.design.execute(options),
+        }
     }
 }
 
 /// Executes `compiled[i]` for every `i` under shared `options`,
-/// returning reports in input order — the one executor behind
-/// [`Session::stream`] and [`Session::run_batch_parallel`].
+/// returning reports in input order — the executor behind
+/// [`Session::stream`].
 ///
 /// `workers <= 1` runs inline. Otherwise at most
 /// `min(workers, jobs)` scoped threads drain a shared index counter
@@ -401,16 +412,16 @@ impl Session {
 /// deterministic, so the output is bit-identical for every worker
 /// count.
 fn execute_ordered(
-    compiled: &[Arc<CompiledPipeline>],
+    compiled: &[CompiledFrame],
     options: &ExecuteOptions,
     workers: usize,
-) -> Vec<ExecutionReport> {
+) -> Vec<FrameReport> {
     let workers = workers.min(compiled.len());
     if workers <= 1 {
         return compiled.iter().map(|c| c.execute(options)).collect();
     }
     let next = AtomicUsize::new(0);
-    let mut reports: Vec<Option<ExecutionReport>> = vec![None; compiled.len()];
+    let mut reports: Vec<Option<FrameReport>> = vec![None; compiled.len()];
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
@@ -591,7 +602,14 @@ mod tests {
         use crate::source::{ReplaySource, StreamOptions};
 
         let mut s = csdt4().session(AppDomain::Classification.spec());
-        s.run(4 * 300).unwrap();
+        // The shared per-frame step: the first compile of a bucket pays
+        // its solve, a second one hits and shares the design.
+        let frame = Frame::synthetic(0, 4 * 300);
+        let first = s.compile_frame(frame, SizeBucketing::Exact).unwrap();
+        assert_eq!((first.solves, first.scheduled_elements), (1, 4 * 300));
+        let again = s.compile_frame(frame, SizeBucketing::Exact).unwrap();
+        assert_eq!(again.solves, 0);
+        assert!(Arc::ptr_eq(&first.design, &again.design));
         assert_eq!(s.solver_invocations(), 1);
         // The replayed size is already cached: the stream pays nothing.
         let report = s
@@ -602,6 +620,11 @@ mod tests {
             .unwrap();
         assert_eq!(report.solver_invocations, 0);
         assert_eq!(s.solver_invocations(), 1);
+        // Executing the step is the stream's per-frame report.
+        assert_eq!(
+            again.execute(&ExecuteOptions::for_spec(s.spec())),
+            report.frames[0]
+        );
         // Every frame hit the cache: infinitely many frames per solve.
         assert_eq!(report.frames_per_solve(), f64::INFINITY);
         // An empty stream pays no solve and executes nothing: 0, not 0/0.
@@ -625,18 +648,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.frame_count(), 5);
         assert_eq!(report.solver_invocations, 1);
-    }
-
-    #[test]
-    fn parallel_batch_equals_sequential() {
-        let sizes = [4 * 300, 4 * 450, 4 * 600, 4 * 300];
-        let fw = csdt4();
-        let mut seq = fw.session(AppDomain::Classification.spec());
-        let mut par = fw.session(AppDomain::Classification.spec());
-        let a = seq.run_batch(&sizes).unwrap();
-        let b = par.run_batch_parallel(&sizes).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(seq.solver_invocations(), par.solver_invocations());
     }
 
     #[test]

@@ -406,9 +406,10 @@ pub struct FrameReport {
 pub struct StreamReport {
     /// Per-frame results, in arrival order.
     pub frames: Vec<FrameReport>,
-    /// ILP solves this stream paid (compile-cache misses during the
-    /// stream — solves already cached by earlier session use cost
-    /// nothing here).
+    /// ILP solves this stream paid: the sum of its frames' compile
+    /// deltas ([`crate::session::CompiledFrame::solves`]), exact
+    /// whenever one thread compiles through the cache. Solves already
+    /// cached by earlier session use cost nothing here.
     pub solver_invocations: u64,
     /// The bucketing policy the stream ran under.
     pub bucketing: SizeBucketing,

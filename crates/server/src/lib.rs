@@ -32,9 +32,10 @@
 //! The correctness anchor: a single admitted tenant's per-frame
 //! reports are **bit-identical** to running its source through
 //! [`Session::stream`](streamgrid_core::session::Session::stream)
-//! directly, because the server's per-frame path is exactly the
-//! session's — bucket, compile through the cache, execute with the
-//! spec's resolved options.
+//! directly, because the server's per-frame path is the session's own
+//! step: [`Session::compile_frame`](streamgrid_core::session::Session::compile_frame)
+//! buckets and compiles through the cache, and the returned frame
+//! executes with the spec's resolved options.
 //!
 //! The concurrency anchor: the scheduling and admission decisions are
 //! pure functions in [`protocol`], and [`mc`] model-checks the

@@ -160,8 +160,10 @@ pub struct ServerReport {
     pub rejected: u64,
     /// Tenants that waited on the waitlist before admission.
     pub queued_admissions: u64,
-    /// ILP solves the server's cache performed across the whole run —
-    /// with a shared cache this is the cache's total for the run, so
+    /// ILP solves the run paid: the sum of the tenants'
+    /// [`StreamReport::solver_invocations`], each the sum of its frames'
+    /// compile deltas. Exact whenever only the server compiles through
+    /// its cache during the run, so on a cold cache
     /// `solver_invocations == distinct compile keys` is the sharing
     /// contract bench drivers assert.
     pub solver_invocations: u64,

@@ -22,29 +22,33 @@
 //!   solve total, and per-tenant solve counts are exact (only the
 //!   scheduler thread compiles).
 //!
-//! Because the per-frame path is byte-for-byte the [`Session::stream`]
-//! path — bucket, compile through the cache, execute with the spec's
-//! resolved options — a single admitted tenant's [`FrameReport`]s are
-//! bit-identical to calling [`Session::stream`] directly. That is the
-//! server's correctness anchor, pinned in `tests/server_qos.rs`.
+//! The per-frame path is literally [`Session::stream`]'s: the scheduler
+//! calls the same [`Session::compile_frame`] step (bucket, compile
+//! through the cache, count the solves), and a worker runs
+//! [`CompiledFrame::execute`] with the spec's resolved options. So a
+//! single admitted tenant's [`FrameReport`]s are bit-identical to
+//! calling [`Session::stream`] directly. That is the server's
+//! correctness anchor, pinned in `tests/server_qos.rs`.
 //!
 //! [`CompiledPipeline:: execute`]: streamgrid_core::framework::CompiledPipeline::execute
 //! [`Session`]: streamgrid_core::session::Session
 //! [`Session::stream`]: streamgrid_core::session::Session::stream
+//! [`Session::compile_frame`]: streamgrid_core::session::Session::compile_frame
+//! [`CompiledFrame::execute`]: streamgrid_core::session::CompiledFrame::execute
 //! [`SharedCache`]: streamgrid_core::cache::SharedCache
 //! [`FrameReport`]: streamgrid_core::source::FrameReport
 //! [`QosClass::Background`]: crate::QosClass::Background
 //! [`QosClass::Interactive`]: crate::QosClass::Interactive
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use streamgrid_core::cache::{ScheduleCache, SharedCache};
-use streamgrid_core::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport, StreamGrid};
+use streamgrid_core::cache::SharedCache;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::pipeline::CompileError;
-use streamgrid_core::session::Session;
-use streamgrid_core::source::{Frame, FrameReport, FrameSource, SizeBucketing, StreamReport};
+use streamgrid_core::session::{CompiledFrame, Session};
+use streamgrid_core::source::{FrameReport, FrameSource, SizeBucketing, StreamReport};
 
 use streamgrid_core::framework::LintSummary;
 use streamgrid_verify::inert_qos_policy;
@@ -157,11 +161,12 @@ impl ServerConfig {
 
 /// One submitted tenant, as the scheduler drives it. Only the scheduler
 /// thread touches this — workers see [`Job`]s, never tenants.
-struct TenantState {
+struct Tenant {
     id: TenantId,
     spec: TenantSpec,
     source: Box<dyn FrameSource + Send>,
     session: Session,
+    /// The spec's execution options, resolved at submit.
     exec: ExecuteOptions,
     /// Load tokens this tenant committed at admission.
     projected: u64,
@@ -176,39 +181,43 @@ struct TenantState {
     exhausted: bool,
     /// Tokens returned to the ledger (set once, at finish).
     released: bool,
-    /// ILP solves this tenant's compiles paid (cache-counter deltas
-    /// around each compile — exact, because only the scheduler
-    /// compiles).
+    /// ILP solves this tenant's compiles paid: the sum of its frames'
+    /// [`CompiledFrame::solves`], exact because only the scheduler
+    /// compiles.
     solves: u64,
-    /// Per-pulled-frame metadata, indexed by sequence number.
-    metas: Vec<FrameMeta>,
+    /// Frames compiled under the degraded bucketing.
+    degraded_frames: u64,
     /// The compile error that ended the tenant early, if any.
     error: Option<CompileError>,
 }
 
-/// What the scheduler remembers about a pulled frame while its job is
-/// in flight.
-struct FrameMeta {
-    frame: Frame,
-    scheduled_elements: u64,
-    degraded: bool,
+impl std::fmt::Debug for Tenant {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tenant")
+            .field("id", &self.id)
+            .field("name", &self.spec.name)
+            .field("qos", &self.spec.qos)
+            .field("projected", &self.projected)
+            .field("active", &self.active)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A unit of worker work: one compiled frame execution.
 struct Job {
     tenant: usize,
     seq: u64,
-    compiled: Arc<CompiledPipeline>,
+    frame: CompiledFrame,
     exec: ExecuteOptions,
     enqueued: Instant,
     shed_deadline: Option<Duration>,
 }
 
-/// What a worker produced for one job. The report is boxed: an
-/// `ExecutionReport` is large, and `Shed` outcomes should stay cheap.
+/// What a worker produced for one job. The report is boxed: a
+/// `FrameReport` is large, and `Shed` outcomes should stay cheap.
 enum FrameOutcome {
     Executed {
-        report: Box<ExecutionReport>,
+        report: Box<FrameReport>,
         queue_ns: u64,
         exec_ns: u64,
     },
@@ -273,35 +282,11 @@ struct State {
 pub struct StreamServer {
     config: ServerConfig,
     cache: SharedCache,
-    tenants: Vec<TenantHolder>,
+    tenants: Vec<Tenant>,
     ledger: TokenLedger,
     waitlist: VecDeque<usize>,
     rejected: u64,
     next_id: u64,
-}
-
-/// `TenantState` minus the run-time bookkeeping `run` adds — what
-/// `submit` stores.
-struct TenantHolder {
-    id: TenantId,
-    spec: TenantSpec,
-    source: Box<dyn FrameSource + Send>,
-    session: Session,
-    projected: u64,
-    active: bool,
-    was_queued: bool,
-}
-
-impl std::fmt::Debug for TenantHolder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantHolder")
-            .field("id", &self.id)
-            .field("name", &self.spec.name)
-            .field("qos", &self.spec.qos)
-            .field("projected", &self.projected)
-            .field("active", &self.active)
-            .finish_non_exhaustive()
-    }
 }
 
 impl StreamServer {
@@ -349,7 +334,7 @@ impl StreamServer {
         }
     }
 
-    fn hold(&mut self, spec: TenantSpec, source: Box<dyn FrameSource + Send>) -> TenantHolder {
+    fn hold(&mut self, spec: TenantSpec, source: Box<dyn FrameSource + Send>) -> Tenant {
         let session = StreamGrid::new(spec.config)
             .session_builder(spec.pipeline.clone())
             .with_cache(self.cache.clone())
@@ -357,14 +342,23 @@ impl StreamServer {
         let projected = self.projection(&spec, source.as_ref());
         let id = TenantId(self.next_id);
         self.next_id += 1;
-        TenantHolder {
+        Tenant {
             id,
+            exec: spec
+                .exec
+                .unwrap_or_else(|| ExecuteOptions::for_spec(&spec.pipeline)),
             spec,
             source,
             session,
             projected,
             active: false,
             was_queued: false,
+            pulled: 0,
+            exhausted: false,
+            released: false,
+            solves: 0,
+            degraded_frames: 0,
+            error: None,
         }
     }
 
@@ -450,8 +444,9 @@ impl StreamServer {
     ///
     /// The calling thread becomes the scheduler: it round-robins across
     /// admitted tenants, pulls a frame only when the tenant's class
-    /// queue has space (backpressure), compiles it through the shared
-    /// cache, and enqueues the execution; `workers` threads drain the
+    /// queue has space (backpressure), compiles it with the tenant
+    /// session's [`Session::compile_frame`] step (through the shared
+    /// cache), and enqueues the execution; `workers` threads drain the
     /// class queues by weighted fair queueing. Waitlisted tenants are
     /// admitted FIFO as finishing tenants release their tokens. A
     /// tenant whose compile fails records the error on its report and
@@ -459,33 +454,10 @@ impl StreamServer {
     pub fn run(self) -> ServerReport {
         let workers = self.config.effective_workers();
         let queue_depth = self.config.effective_queue_depth(workers);
-        let solves_before = self.cache.solver_invocations();
         let config = self.config;
         let mut ledger = self.ledger;
         let mut waitlist = self.waitlist;
-        let mut tenants: Vec<TenantState> = self
-            .tenants
-            .into_iter()
-            .map(|h| TenantState {
-                exec: h
-                    .spec
-                    .exec
-                    .unwrap_or_else(|| ExecuteOptions::for_spec(&h.spec.pipeline)),
-                id: h.id,
-                spec: h.spec,
-                source: h.source,
-                session: h.session,
-                projected: h.projected,
-                active: h.active,
-                was_queued: h.was_queued,
-                pulled: 0,
-                exhausted: false,
-                released: false,
-                solves: 0,
-                metas: Vec::new(),
-                error: None,
-            })
-            .collect();
+        let mut tenants = self.tenants;
 
         let shared = SyncState {
             state: Mutex::new(State {
@@ -525,13 +497,7 @@ impl StreamServer {
             .state
             .into_inner()
             .expect("no scheduler or worker panicked");
-        assemble_report(
-            state,
-            tenants,
-            self.rejected,
-            self.cache.solver_invocations() - solves_before,
-            workers,
-        )
+        assemble_report(state, tenants, self.rejected, workers)
     }
 }
 
@@ -542,7 +508,7 @@ fn schedule(
     shared: &SyncState,
     config: &ServerConfig,
     queue_depth: usize,
-    tenants: &mut [TenantState],
+    tenants: &mut [Tenant],
     ledger: &mut TokenLedger,
     waitlist: &mut VecDeque<usize>,
 ) {
@@ -625,12 +591,8 @@ fn schedule(
             (true, Some(degraded)) => degraded,
             _ => t.spec.bucketing,
         };
-        let scheduled_elements = bucketing.bucket(frame.elements);
-        let solves_before = t.session.solver_invocations();
-        let compiled = t.session.compiled(scheduled_elements);
-        t.solves += t.session.solver_invocations() - solves_before;
-        let compiled = match compiled {
-            Ok(compiled) => compiled,
+        let frame = match t.session.compile_frame(frame, bucketing) {
+            Ok(frame) => frame,
             Err(err) => {
                 // The tenant dies; the server does not. Frames already
                 // in flight still complete and land on its report.
@@ -640,17 +602,14 @@ fn schedule(
                 continue;
             }
         };
+        t.solves += frame.solves;
+        t.degraded_frames += u64::from(under_pressure);
         let seq = t.pulled;
         t.pulled += 1;
-        t.metas.push(FrameMeta {
-            frame,
-            scheduled_elements,
-            degraded: under_pressure,
-        });
         let job = Job {
             tenant: i,
             seq,
-            compiled,
+            frame,
             exec: t.exec,
             enqueued: Instant::now(),
             shed_deadline: if t.spec.qos.sheds() {
@@ -692,7 +651,7 @@ fn worker_loop(shared: &SyncState) {
             Some(deadline) if waited > deadline => FrameOutcome::Shed,
             _ => {
                 let t0 = Instant::now();
-                let report = Box::new(job.compiled.execute(&job.exec));
+                let report = Box::new(job.frame.execute(&job.exec));
                 FrameOutcome::Executed {
                     report,
                     queue_ns,
@@ -728,9 +687,8 @@ fn pick_job(st: &mut State) -> Option<Job> {
 /// Folds the run's raw state into the [`ServerReport`].
 fn assemble_report(
     state: State,
-    tenants: Vec<TenantState>,
+    tenants: Vec<Tenant>,
     rejected: u64,
-    solver_invocations: u64,
     workers: usize,
 ) -> ServerReport {
     // Route outcomes back to their (tenant, seq) slots.
@@ -750,6 +708,7 @@ fn assemble_report(
 
     let mut admitted = 0u64;
     let mut queued_admissions = 0u64;
+    let mut solver_invocations = 0u64;
     let mut all_diags = Vec::new();
     let mut reports = Vec::with_capacity(tenants.len());
     for (slots, t) in outcomes.into_iter().zip(tenants) {
@@ -773,22 +732,15 @@ fn assemble_report(
         let mut frames = Vec::new();
         let mut samples = Vec::new();
         let mut shed_frames = 0u64;
-        let mut degraded_frames = 0u64;
-        for (meta, slot) in t.metas.into_iter().zip(slots) {
-            let outcome = slot.expect("every pulled frame completed before done");
-            degraded_frames += u64::from(meta.degraded);
-            match outcome {
+        for slot in slots {
+            match slot.expect("every pulled frame completed before done") {
                 FrameOutcome::Executed {
                     report,
                     queue_ns,
                     exec_ns,
                 } => {
                     samples.push(FrameLatency { queue_ns, exec_ns });
-                    frames.push(FrameReport {
-                        frame: meta.frame,
-                        scheduled_elements: meta.scheduled_elements,
-                        report: *report,
-                    });
+                    frames.push(*report);
                 }
                 FrameOutcome::Shed => shed_frames += 1,
             }
@@ -799,9 +751,10 @@ fn assemble_report(
             solver_invocations: t.solves,
             bucketing: t.spec.bucketing,
         };
+        solver_invocations += t.solves;
         class_cycles[c] += stream.total_cycles();
         class_shed[c] += shed_frames;
-        class_degraded[c] += degraded_frames;
+        class_degraded[c] += t.degraded_frames;
         let latency = LatencyStats::from_samples(&samples);
         class_samples[c].extend(samples);
         reports.push(TenantReport {
@@ -811,7 +764,7 @@ fn assemble_report(
             stream,
             latency,
             shed_frames,
-            degraded_frames,
+            degraded_frames: t.degraded_frames,
             error: t.error,
             lints,
         });

@@ -148,30 +148,6 @@ fn sharded_frames_compose_with_workers() {
     }
 }
 
-/// `run_batch_parallel` is now a thin wrapper over the same executor:
-/// same reports as the sequential batch and as a worker-fanned stream
-/// of the same sizes.
-#[test]
-fn run_batch_parallel_matches_stream_workers() {
-    let sizes = [4 * 300u64, 4 * 450, 4 * 600, 4 * 300, 4 * 450];
-    let fw = csdt4();
-    let mut batch = fw.session(AppDomain::Registration.spec());
-    let batch_reports = batch.run_batch_parallel(&sizes).unwrap();
-    let mut stream = fw.session(AppDomain::Registration.spec());
-    let stream_report = stream
-        .stream(ReplaySource::new(&sizes), &StreamOptions::workers(4))
-        .unwrap();
-    assert_eq!(
-        stream_report
-            .frames
-            .iter()
-            .map(|f| &f.report)
-            .collect::<Vec<_>>(),
-        batch_reports.iter().collect::<Vec<_>>()
-    );
-    assert_eq!(batch.solver_invocations(), stream.solver_invocations());
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6,

@@ -13,6 +13,7 @@ use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::StreamGrid;
 use streamgrid_core::pipeline::{CompileError, PipelineSpec};
 use streamgrid_core::registry::PipelineRegistry;
+use streamgrid_core::source::{ReplaySource, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
 
@@ -185,11 +186,13 @@ fn parallel_batch_matches_sequential_and_oneshot() {
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let sizes = [4 * 300, 4 * 450, 4 * 600];
     let mut session = fw.session(AppDomain::NeuralRendering.spec());
-    let parallel = session.run_batch_parallel(&sizes).unwrap();
+    let parallel = session
+        .stream(ReplaySource::new(&sizes), &StreamOptions::workers(4))
+        .unwrap();
     assert_eq!(session.solver_invocations(), 3);
-    for (&total, report) in sizes.iter().zip(&parallel) {
+    for (&total, frame) in sizes.iter().zip(&parallel.frames) {
         let fresh = fw.execute(AppDomain::NeuralRendering, total).unwrap();
-        assert_eq!(report, &fresh, "parallel batch diverged at {total}");
+        assert_eq!(frame.report, fresh, "parallel batch diverged at {total}");
     }
 }
 

@@ -69,6 +69,29 @@ fn single_tenant_is_bit_identical_to_session_stream() {
     assert_eq!(report.class(QosClass::Standard).tenants, 1);
 }
 
+/// Each solve is charged to the tenant whose compile paid it, and the
+/// server's count is the sum of its tenants': the first tenant at a
+/// size pays, a later tenant at the same size hits the shared cache.
+#[test]
+fn each_tenant_reports_the_solves_its_compiles_paid() {
+    let mut server = StreamServer::new(ServerConfig::default().with_workers(1));
+    for (name, elements) in [("a", 1200), ("b", 1200), ("c", 2400)] {
+        server
+            .submit(cls_spec(name), SyntheticSource::new(elements, 3))
+            .unwrap();
+    }
+    let report = server.run();
+
+    let solves: Vec<u64> = report
+        .tenants
+        .iter()
+        .map(|t| t.stream.solver_invocations)
+        .collect();
+    assert_eq!(solves, [1, 0, 1]);
+    assert_eq!(report.solver_invocations, 2);
+    assert!(report.all_clean());
+}
+
 /// Admission control rejects at capacity with the typed error carrying
 /// the exact shortfall, and enforces the tenant cap.
 #[test]
@@ -467,5 +490,10 @@ fn background_degrades_to_coarser_buckets_under_pressure() {
             .any(|f| f.scheduled_elements == 4800),
         "degraded frames compile at the Quantize(4800) bucket"
     );
+    // Interactive pays the exact 1200 bucket; Background hits it, then
+    // pays for the degraded Quantize(4800) bucket.
+    assert_eq!(fg.stream.solver_invocations, 1);
+    assert_eq!(bg.stream.solver_invocations, 1);
+    assert_eq!(report.solver_invocations, 2);
     assert!(report.all_clean(), "degraded frames still run clean");
 }
