@@ -23,7 +23,7 @@ use crate::report::first_broken;
 pub const BUDGETS: [(&str, u64); 5] = [
     ("spsc-ring", 4_000),
     ("park-wake", 1_000),
-    ("work-space-dispatch", 8_000),
+    ("work-space-dispatch", 12_500),
     ("ledger-waitlist", 1_000),
     ("wfq-pick", 2_000),
 ];
@@ -143,6 +143,13 @@ pub fn matrix() -> Vec<Row> {
             frames: 3,
         },
         DispatchConfig::default(),
+        // Depth 3 is the first bound at which a pop (3 → 2) skips the
+        // watermark wake.
+        DispatchConfig {
+            workers: 2,
+            queue_depth: 3,
+            frames: 4,
+        },
     ] {
         run(
             "work-space-dispatch",
@@ -156,6 +163,7 @@ pub fn matrix() -> Vec<Row> {
         ("skip-space-notify", DispatchVariant::SkipSpaceNotify),
         ("notify-one-on-done", DispatchVariant::NotifyOneOnDone),
         ("pop-without-recheck", DispatchVariant::PopWithoutRecheck),
+        ("no-finish-notify", DispatchVariant::NoFinishNotify),
     ] {
         let config = DispatchConfig::default();
         run(
@@ -165,6 +173,19 @@ pub fn matrix() -> Vec<Row> {
             &|mc| check_dispatch(&config, variant, mc),
         );
     }
+    // At depth 1 the watermark is 0, so a strict `<` never wakes; at
+    // depth 2 the pop that empties the queue still would.
+    let depth_one = DispatchConfig {
+        workers: 1,
+        queue_depth: 1,
+        frames: 2,
+    };
+    run(
+        "work-space-dispatch",
+        "watermark-off-by-one",
+        dispatch_bounds(&depth_one),
+        &|mc| check_dispatch(&depth_one, DispatchVariant::WatermarkOffByOne, mc),
+    );
 
     // Serving layer: the token ledger + strict-FIFO waitlist, over the
     // default adversarial scenario (a waiting large tenant a small one
@@ -203,7 +224,7 @@ pub fn matrix() -> Vec<Row> {
 /// Checks a matrix: every row ran under its model's budget in
 /// [`BUDGETS`], explored `0 < states ≤ budget` to a nonzero depth, and
 /// reached `PASS` (correct) or `CAUGHT` (sabotage); every budgeted model
-/// has a correct and a sabotage row; and none of the 27 rows is lost.
+/// has a correct and a sabotage row; and none of the 30 rows is lost.
 ///
 /// # Errors
 ///
@@ -234,7 +255,7 @@ pub fn check(rows: &[Row]) -> Result<(), String> {
         ];
         first_broken(&format!("{model}: "), &rules)?;
     }
-    first_broken("", &[(rows.len() == 27, "the matrix lost a row")])
+    first_broken("", &[(rows.len() == 30, "the matrix lost a row")])
 }
 
 #[cfg(test)]

@@ -37,10 +37,10 @@
 //! buckets and compiles through the cache, and the returned frame
 //! executes with the spec's resolved options.
 //!
-//! The concurrency anchor: the scheduling and admission decisions are
-//! pure functions in [`protocol`], and [`mc`] model-checks the
-//! protocols built on them — the work/space dispatch handshake, the
-//! ledger + FIFO waitlist, and the WFQ pick — with the
+//! The concurrency anchor: the scheduling, admission and wake
+//! decisions are pure functions in [`protocol`], and [`mc`]
+//! model-checks the protocols built on them — the work/space dispatch
+//! handshake, the ledger + FIFO waitlist, and the WFQ pick — with the
 //! [`streamgrid_verify::mc`] harness, over every bounded interleaving.
 
 mod admission;

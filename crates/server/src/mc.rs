@@ -12,16 +12,26 @@
 //! of a faithful bounded model is explored, so a pass is a proof over
 //! the model, not a sampling. Crucially, the models call the *shipped*
 //! decision logic — [`wfq_pick`], [`queued_admission`], [`admit_fifo`],
-//! and the real [`TokenLedger`] sit inside the model states — so the
-//! certificates cover the functions [`crate::StreamServer::run`]
-//! actually executes, with only the thread/lock scaffolding modeled.
+//! [`pop_wakes_scheduler`], [`tenant_finished`], and the real
+//! [`TokenLedger`] sit inside the model states — so the certificates
+//! cover the functions [`crate::StreamServer::run`] actually executes,
+//! with only the thread/lock scaffolding modeled.
+//!
+//! The dispatch model follows `server.rs` step for step: every notify
+//! comes after its unlock, as a step of its own; a pop wakes the
+//! scheduler only at or below the watermark (half the queue bound); a
+//! completion wakes it only when it finishes the tenant; and the tenant
+//! is marked exhausted only when the scheduler's next pull, which needs
+//! queue space, finds nothing. Its bounds cover depth 1 (watermark 0),
+//! depth 2 (every pop wakes) and depth 3, the first at which a pop
+//! skips the wake.
 //!
 //! Three models, each with seeded sabotage variants that CI must report
 //! as caught (`sg_lint --mc`):
 //!
 //! | model | protocol | obligations |
 //! |-------|----------|-------------|
-//! | [`check_dispatch`] | the two-condvar `work`/`space` loop of `server.rs` | no lost wakeup, no deadlock at bounded queue depth, workers never dispatch an empty slot, every pulled frame completes |
+//! | [`check_dispatch`] | the two-condvar `work`/`space` loop of `server.rs`, with its watermark and finish wakes | no lost wakeup, no deadlock at bounded queue depth, workers never dispatch an empty slot, every pulled frame completes |
 //! | [`check_ledger`]   | token ledger + strict-FIFO waitlist | tokens never leak or exceed capacity, admission is strictly FIFO, the waitlist always drains (given the up-front impossible-fit rejection) |
 //! | [`check_wfq`]      | the served/weight cross-multiplication pick | a nonempty class is never starved: each dispatch goes to a class whose dispatched/weight ratio is minimal |
 
@@ -30,7 +40,10 @@ use std::collections::VecDeque;
 use streamgrid_verify::mc::{explore, McCondvar, McConfig, McMutex, McReport, Model};
 
 use crate::admission::TokenLedger;
-use crate::protocol::{admit_fifo, queued_admission, wfq_pick, QueuedDecision, WEIGHTS};
+use crate::protocol::{
+    admit_fifo, pop_wakes_scheduler, queued_admission, tenant_finished, wfq_pick, QueuedDecision,
+    WEIGHTS,
+};
 
 // =====================================================================
 // 1. The two-condvar work/space dispatch protocol
@@ -44,7 +57,8 @@ pub struct DispatchConfig {
     pub workers: usize,
     /// The bounded per-class queue depth.
     pub queue_depth: u8,
-    /// Frames the scheduler pulls before finishing.
+    /// Frames the one modeled tenant's source yields; the pull after
+    /// the last finds nothing and marks the tenant exhausted.
     pub frames: u8,
 }
 
@@ -65,19 +79,24 @@ impl Default for DispatchConfig {
 /// sabotage the checker must catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchVariant {
-    /// The protocol `server.rs` implements: push under the mutex then
-    /// `work.notify_one`; pop under the mutex then `space.notify_one`;
-    /// completion under the mutex then `space.notify_one`; shutdown
-    /// sets `done` and `work.notify_all`s.
+    /// The protocol `server.rs` implements. The scheduler pushes under
+    /// the mutex, unlocks, then `work.notify_one`s. A worker pops under
+    /// the mutex, unlocks, then `space.notify_one`s only if the pop left
+    /// the queue at or below the watermark ([`pop_wakes_scheduler`]). A
+    /// completion is recorded under the mutex and, after the unlock,
+    /// `space.notify_one`s only if it finished the tenant
+    /// ([`tenant_finished`]). The scheduler marks the tenant exhausted
+    /// when a pull, which needs queue space, finds nothing; shutdown
+    /// sets `done` under the mutex, unlocks, then `work.notify_all`s.
     Correct,
     /// The scheduler enqueues but never notifies `work` — the classic
     /// lost wakeup: a worker that went to sleep just before the push
     /// sleeps through the job forever.
     SkipWorkNotify,
-    /// Workers never notify `space` — neither after freeing a queue
-    /// slot nor after completing a frame. (Omitting only the pop-side
-    /// notify is rescued by the completion-side one; the sabotage must
-    /// silence both to demonstrate why the scheduler depends on them.)
+    /// Workers never notify `space` — neither the watermark wake after
+    /// a pop nor the finish wake after a completion. The scheduler
+    /// sleeps on a full queue, and nothing ever tells it the queue
+    /// drained.
     SkipSpaceNotify,
     /// Shutdown wakes only one worker (`notify_one` instead of
     /// `notify_all`): with two sleepers, the second never observes
@@ -87,27 +106,41 @@ pub enum DispatchVariant {
     /// the queue under the mutex — another worker may have raced it to
     /// the job, so it dispatches an empty slot.
     PopWithoutRecheck,
+    /// The pop wake compares with a strict `<` against the watermark.
+    /// At depth 1 the watermark is 0, so no pop ever wakes the
+    /// scheduler sleeping on its one full slot.
+    WatermarkOffByOne,
+    /// Completions never wake the scheduler. Once it has marked the
+    /// tenant exhausted and sleeps on `space` with only in-flight work
+    /// left, the last completion goes unnoticed.
+    NoFinishNotify,
 }
 
 // Scheduler program counter.
 const S_ACQ: u8 = 0; // acquire the state mutex (loop top)
-const S_BODY: u8 = 1; // holding: harvest/done-check/space-check
-const S_COMPILE: u8 = 2; // unlocked: pull + compile the next frame
+const S_BODY: u8 = 1; // holding: done-check/space-check
+const S_PULL: u8 = 2; // unlocked: pull (and compile) the next frame
 const S_PUSH_ACQ: u8 = 3; // re-acquire for the push
-const S_PUSH: u8 = 4; // holding: enqueue + work.notify_one
-const S_SPACE_WAIT: u8 = 5; // asleep on `space`
-const S_SPACE_WOKEN: u8 = 6; // woken: re-acquire the mutex
-const S_EXIT: u8 = 7;
+const S_PUSH: u8 = 4; // holding: enqueue, then unlock
+const S_PUSH_NOTIFY: u8 = 5; // unlocked: work.notify_one
+const S_SPACE_WAIT: u8 = 6; // asleep on `space`
+const S_SPACE_WOKEN: u8 = 7; // woken: re-acquire the mutex
+const S_EXH_ACQ: u8 = 8; // the pull found nothing: re-acquire
+const S_EXH: u8 = 9; // holding: mark the tenant exhausted, then unlock
+const S_DONE_NOTIFY: u8 = 10; // unlocked: wake the workers for shutdown
+const S_EXIT: u8 = 11;
 
 // Worker program counter.
 const K_ACQ: u8 = 0; // acquire the state mutex (loop top)
 const K_LOOP: u8 = 1; // holding: pick/done-check/sleep
-const K_EXEC: u8 = 2; // unlocked: execute the job
-const K_DONE_ACQ: u8 = 3; // re-acquire to record the completion
-const K_DONE: u8 = 4; // holding: completed++ + space.notify_one
-const K_WORK_WAIT: u8 = 5; // asleep on `work`
-const K_WORK_WOKEN: u8 = 6; // woken: re-acquire the mutex
-const K_EXIT: u8 = 7;
+const K_POP_NOTIFY: u8 = 2; // unlocked: the watermark wake
+const K_EXEC: u8 = 3; // unlocked: execute the job
+const K_DONE_ACQ: u8 = 4; // re-acquire to record the completion
+const K_DONE: u8 = 5; // holding: completed++, then unlock
+const K_DONE_NOTIFY: u8 = 6; // unlocked: the finish wake
+const K_WORK_WAIT: u8 = 7; // asleep on `work`
+const K_WORK_WOKEN: u8 = 8; // woken: re-acquire the mutex
+const K_EXIT: u8 = 9;
 
 /// One dispatch-protocol interleaving state: the modeled lock and
 /// condvars plus the counters the real `State` struct carries.
@@ -122,6 +155,8 @@ struct DispatchState {
     pulled: u8,
     /// Frames workers have completed.
     completed: u8,
+    /// A pull found the source empty: no more pulls.
+    exhausted: bool,
     done: bool,
     s_pc: u8,
     w_pc: Vec<u8>,
@@ -149,8 +184,24 @@ impl DispatchModel {
         }
     }
 
-    /// Pops one job under the mutex and transitions worker `tid` to its
-    /// unlocked execute step, signalling the freed slot.
+    /// Whether a pop that left `left` jobs queued wakes the scheduler.
+    fn pop_wakes(&self, left: u8) -> bool {
+        let (left, depth) = (usize::from(left), usize::from(self.config.queue_depth));
+        match self.variant {
+            DispatchVariant::WatermarkOffByOne => left < depth / 2,
+            _ => pop_wakes_scheduler(left, depth),
+        }
+    }
+
+    /// Whether the completion just recorded in `s` wakes the scheduler.
+    fn completion_wakes(&self, s: &DispatchState) -> bool {
+        self.variant != DispatchVariant::NoFinishNotify
+            && tenant_finished(s.exhausted, s.pulled.into(), s.completed.into())
+    }
+
+    /// Pops one job under the mutex and unlocks; worker `tid` then
+    /// wakes the scheduler if the pop reached the watermark, and
+    /// executes.
     fn pop_and_exec(&self, s: &DispatchState, tid: usize) -> Result<DispatchState, String> {
         let mut n = s.clone();
         if n.queue == 0 {
@@ -161,10 +212,43 @@ impl DispatchModel {
             ));
         }
         n.queue -= 1;
-        self.notify_space(&mut n);
         n.mutex.unlock(tid);
-        n.w_pc[tid - 1] = K_EXEC;
+        n.w_pc[tid - 1] = if self.pop_wakes(n.queue) {
+            K_POP_NOTIFY
+        } else {
+            K_EXEC
+        };
         Ok(n)
+    }
+
+    /// Appends `n` after one `work.notify_one`, once per worker it may
+    /// wake — or unchanged when nobody waits (the notify is lost, as in
+    /// `std`).
+    fn notify_one_worker(n: DispatchState, out: &mut Vec<DispatchState>) {
+        let outcomes = n.work.notify_one();
+        if outcomes.is_empty() {
+            out.push(n);
+            return;
+        }
+        for (cv, wtid) in outcomes {
+            let mut m = n.clone();
+            m.work = cv;
+            m.w_pc[wtid - 1] = K_WORK_WOKEN;
+            out.push(m);
+        }
+    }
+
+    /// Thread `tid`'s acquire step at `s`, if the mutex is free.
+    fn acquire(s: &DispatchState, tid: usize, next: u8) -> Option<DispatchState> {
+        let mut n = s.clone();
+        n.mutex.try_lock(tid).then(|| {
+            if tid == SCHED {
+                n.s_pc = next;
+            } else {
+                n.w_pc[tid - 1] = next;
+            }
+            n
+        })
     }
 }
 
@@ -187,6 +271,7 @@ impl Model for DispatchModel {
             queue: 0,
             pulled: 0,
             completed: 0,
+            exhausted: false,
             done: false,
             s_pc: S_ACQ,
             w_pc: vec![K_ACQ; self.config.workers],
@@ -201,97 +286,79 @@ impl Model for DispatchModel {
     ) -> Result<(), String> {
         if tid == SCHED {
             match s.s_pc {
-                S_ACQ | S_SPACE_WOKEN => {
-                    let mut n = s.clone();
-                    if n.mutex.try_lock(tid) {
-                        n.s_pc = S_BODY;
-                        out.push(n);
-                    }
-                }
+                S_ACQ | S_SPACE_WOKEN => out.extend(Self::acquire(s, tid, S_BODY)),
                 S_BODY => {
-                    if s.pulled == self.config.frames && s.completed == self.config.frames {
-                        // Shutdown: set done, wake the workers, exit.
-                        let mut n = s.clone();
+                    let mut n = s.clone();
+                    if tenant_finished(s.exhausted, s.pulled.into(), s.completed.into()) {
+                        // Shutdown: set done, unlock, then wake the
+                        // workers.
                         n.done = true;
-                        if self.variant == DispatchVariant::NotifyOneOnDone {
-                            let outcomes = n.work.notify_one();
-                            if outcomes.is_empty() {
-                                n.mutex.unlock(tid);
-                                n.s_pc = S_EXIT;
-                                out.push(n);
-                            } else {
-                                for (cv, wtid) in outcomes {
-                                    let mut m = n.clone();
-                                    m.work = cv;
-                                    m.w_pc[wtid - 1] = K_WORK_WOKEN;
-                                    m.mutex.unlock(tid);
-                                    m.s_pc = S_EXIT;
-                                    out.push(m);
-                                }
-                            }
-                        } else {
-                            let woken = n.work.notify_all();
-                            for w in 0..self.config.workers {
-                                if woken & (1 << (w + 1)) != 0 {
-                                    n.w_pc[w] = K_WORK_WOKEN;
-                                }
-                            }
-                            n.mutex.unlock(tid);
-                            n.s_pc = S_EXIT;
-                            out.push(n);
-                        }
-                    } else if s.pulled < self.config.frames && s.queue < self.config.queue_depth {
-                        // A pullable frame and queue space: go compile
-                        // outside the lock (Phase C).
-                        let mut n = s.clone();
                         n.mutex.unlock(tid);
-                        n.s_pc = S_COMPILE;
-                        out.push(n);
+                        n.s_pc = S_DONE_NOTIFY;
+                    } else if !s.exhausted && s.queue < self.config.queue_depth {
+                        // Queue space: go pull outside the lock
+                        // (Phase C).
+                        n.mutex.unlock(tid);
+                        n.s_pc = S_PULL;
                     } else {
                         // Backpressure (queue full) or only in-flight
                         // work left: sleep on `space`.
-                        let mut n = s.clone();
                         n.space.sleep(tid, &mut n.mutex);
                         n.s_pc = S_SPACE_WAIT;
-                        out.push(n);
                     }
-                }
-                S_COMPILE => {
-                    let mut n = s.clone();
-                    n.s_pc = S_PUSH_ACQ;
                     out.push(n);
                 }
-                S_PUSH_ACQ => {
+                S_PULL => {
+                    // The source has `frames` frames; the pull after
+                    // the last finds nothing.
                     let mut n = s.clone();
-                    if n.mutex.try_lock(tid) {
-                        n.s_pc = S_PUSH;
+                    n.s_pc = if s.pulled < self.config.frames {
+                        S_PUSH_ACQ
+                    } else {
+                        S_EXH_ACQ
+                    };
+                    out.push(n);
+                }
+                S_PUSH_ACQ => out.extend(Self::acquire(s, tid, S_PUSH)),
+                S_PUSH => {
+                    // Phase D: enqueue, unlock, then wake one worker.
+                    let mut n = s.clone();
+                    n.queue += 1;
+                    n.pulled += 1;
+                    n.mutex.unlock(tid);
+                    n.s_pc = S_PUSH_NOTIFY;
+                    out.push(n);
+                }
+                S_PUSH_NOTIFY => {
+                    let mut n = s.clone();
+                    n.s_pc = S_ACQ;
+                    if self.variant == DispatchVariant::SkipWorkNotify {
                         out.push(n);
+                    } else {
+                        Self::notify_one_worker(n, out);
                     }
                 }
-                S_PUSH => {
-                    // Phase D: enqueue and wake one worker; the real
-                    // scheduler keeps the lock into the next loop body.
-                    let base = {
-                        let mut n = s.clone();
-                        n.queue += 1;
-                        n.pulled += 1;
-                        n.s_pc = S_BODY;
-                        n
-                    };
-                    if self.variant == DispatchVariant::SkipWorkNotify {
-                        out.push(base);
+                S_EXH_ACQ => out.extend(Self::acquire(s, tid, S_EXH)),
+                S_EXH => {
+                    let mut n = s.clone();
+                    n.exhausted = true;
+                    n.mutex.unlock(tid);
+                    n.s_pc = S_ACQ;
+                    out.push(n);
+                }
+                S_DONE_NOTIFY => {
+                    let mut n = s.clone();
+                    n.s_pc = S_EXIT;
+                    if self.variant == DispatchVariant::NotifyOneOnDone {
+                        Self::notify_one_worker(n, out);
                     } else {
-                        let outcomes = base.work.notify_one();
-                        if outcomes.is_empty() {
-                            out.push(base);
-                        } else {
-                            for (cv, wtid) in outcomes {
-                                let mut n = base.clone();
-                                n.work = cv;
-                                n.w_pc[wtid - 1] = K_WORK_WOKEN;
-                                out.push(n);
+                        let woken = n.work.notify_all();
+                        for w in 0..self.config.workers {
+                            if woken & (1 << (w + 1)) != 0 {
+                                n.w_pc[w] = K_WORK_WOKEN;
                             }
                         }
+                        out.push(n);
                     }
                 }
                 _ => {}
@@ -301,13 +368,7 @@ impl Model for DispatchModel {
 
         let w = tid - 1;
         match s.w_pc[w] {
-            K_ACQ => {
-                let mut n = s.clone();
-                if n.mutex.try_lock(tid) {
-                    n.w_pc[w] = K_LOOP;
-                    out.push(n);
-                }
-            }
+            K_ACQ => out.extend(Self::acquire(s, tid, K_LOOP)),
             K_WORK_WOKEN => {
                 let mut n = s.clone();
                 if n.mutex.try_lock(tid) {
@@ -336,23 +397,32 @@ impl Model for DispatchModel {
                     out.push(n);
                 }
             }
+            K_POP_NOTIFY => {
+                let mut n = s.clone();
+                self.notify_space(&mut n);
+                n.w_pc[w] = K_EXEC;
+                out.push(n);
+            }
             K_EXEC => {
                 let mut n = s.clone();
                 n.w_pc[w] = K_DONE_ACQ;
                 out.push(n);
             }
-            K_DONE_ACQ => {
-                let mut n = s.clone();
-                if n.mutex.try_lock(tid) {
-                    n.w_pc[w] = K_DONE;
-                    out.push(n);
-                }
-            }
+            K_DONE_ACQ => out.extend(Self::acquire(s, tid, K_DONE)),
             K_DONE => {
                 let mut n = s.clone();
                 n.completed += 1;
-                self.notify_space(&mut n);
                 n.mutex.unlock(tid);
+                n.w_pc[w] = if self.completion_wakes(&n) {
+                    K_DONE_NOTIFY
+                } else {
+                    K_ACQ
+                };
+                out.push(n);
+            }
+            K_DONE_NOTIFY => {
+                let mut n = s.clone();
+                self.notify_space(&mut n);
                 n.w_pc[w] = K_ACQ;
                 out.push(n);
             }
@@ -376,7 +446,7 @@ impl Model for DispatchModel {
         let held = s
             .w_pc
             .iter()
-            .filter(|&&pc| matches!(pc, K_EXEC | K_DONE_ACQ | K_DONE))
+            .filter(|&&pc| matches!(pc, K_POP_NOTIFY | K_EXEC | K_DONE_ACQ | K_DONE))
             .count() as u8;
         if s.pulled != s.queue + held + s.completed {
             return Err(format!(
@@ -417,21 +487,24 @@ impl Model for DispatchModel {
             );
         }
         format!(
-            "lost wakeup: {} asleep forever (pulled {}, completed {}, queue {}, done {})",
+            "lost wakeup: {} asleep forever (pulled {}, completed {}, queue {}, \
+             exhausted {}, done {})",
             sleepers.join(", "),
             s.pulled,
             s.completed,
             s.queue,
+            s.exhausted,
             s.done
         )
     }
 
     fn is_local(&self, s: &DispatchState, tid: usize) -> bool {
-        // The unlocked compile/execute steps only advance the thread's
-        // own pc: no shared state, no invariant visibility, no effect
-        // on any other thread's enabledness.
+        // The unlocked pull/execute steps only advance the thread's own
+        // pc (the pull reads `pulled`, which only the scheduler writes):
+        // no shared writes, no invariant visibility, no effect on any
+        // other thread's enabledness.
         if tid == SCHED {
-            s.s_pc == S_COMPILE
+            s.s_pc == S_PULL
         } else {
             s.w_pc[tid - 1] == K_EXEC
         }
@@ -928,6 +1001,12 @@ mod tests {
                 queue_depth: 1,
                 frames: 3,
             },
+            // The first depth at which a pop skips the watermark wake.
+            DispatchConfig {
+                workers: 2,
+                queue_depth: 3,
+                frames: 4,
+            },
         ] {
             let report = check_dispatch(&config, DispatchVariant::Correct, &McConfig::default());
             assert!(report.passed(), "{config:?}: {:?}", report.violation);
@@ -945,6 +1024,7 @@ mod tests {
             DispatchVariant::Correct,
             DispatchVariant::SkipWorkNotify,
             DispatchVariant::PopWithoutRecheck,
+            DispatchVariant::NoFinishNotify,
         ] {
             let r = check_dispatch(&DispatchConfig::default(), variant, &reduced);
             let f = check_dispatch(&DispatchConfig::default(), variant, &full);
@@ -973,6 +1053,48 @@ mod tests {
         );
         let v = report.violation.expect("lost wakeup must be caught");
         assert!(v.contains("lost wakeup") && v.contains("scheduler"), "{v}");
+    }
+
+    #[test]
+    fn strict_watermark_loses_the_wakeup_at_depth_one() {
+        // At depth 1 the watermark is 0, and `0 < 0` never holds: the
+        // scheduler sleeps on its one full slot forever.
+        let depth_one = DispatchConfig {
+            workers: 1,
+            queue_depth: 1,
+            frames: 2,
+        };
+        let report = check_dispatch(
+            &depth_one,
+            DispatchVariant::WatermarkOffByOne,
+            &McConfig::default(),
+        );
+        let v = report.violation.expect("lost wakeup must be caught");
+        assert!(v.contains("lost wakeup") && v.contains("scheduler"), "{v}");
+        // At depth 2 the pop that empties the queue still wakes it,
+        // which is why the sabotage row runs at depth 1.
+        let report = check_dispatch(
+            &DispatchConfig::default(),
+            DispatchVariant::WatermarkOffByOne,
+            &McConfig::default(),
+        );
+        assert!(report.passed(), "{:?}", report.violation);
+    }
+
+    #[test]
+    fn missing_finish_wake_strands_the_scheduler() {
+        // The scheduler marked the tenant exhausted and sleeps with
+        // nothing queued; only the last completion could wake it.
+        let report = check_dispatch(
+            &DispatchConfig::default(),
+            DispatchVariant::NoFinishNotify,
+            &McConfig::default(),
+        );
+        let v = report.violation.expect("lost wakeup must be caught");
+        assert!(
+            v.contains("scheduler on `space`") && v.contains("queue 0, exhausted true"),
+            "{v}"
+        );
     }
 
     #[test]

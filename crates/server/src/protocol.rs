@@ -4,9 +4,9 @@
 //! [`StreamServer::run`] is a thicket of threads, mutexes, and condvars,
 //! but the *decisions* it makes — which class a worker dispatches next,
 //! whether a queued submission is admitted/waitlisted/rejected, which
-//! waitlisted tenants a harvest sweep admits — are pure state
-//! transformations. This module is those decisions, factored out so
-//! that:
+//! waitlisted tenants a harvest sweep admits, and when a worker wakes
+//! the sleeping scheduler — are pure state transformations. This module
+//! is those decisions, factored out so that:
 //!
 //! 1. the server calls them (they are the shipped code path, not a
 //!    parallel re-implementation), and
@@ -118,6 +118,30 @@ pub fn admit_fifo(
     admitted
 }
 
+/// Whether a worker's pop wakes the scheduler: only when it leaves the
+/// class queue at or below half its bound (`len_after_pop ≤
+/// queue_depth / 2`).
+///
+/// The scheduler sleeps on `space` only after refilling every pullable
+/// queue to full, and workers keep draining a queue until it is empty,
+/// so a full queue always passes this watermark on some later pop;
+/// waking earlier would only buy a round trip that refills one slot. At
+/// depth 1 and 2 every pop wakes; depth 3 is the first bound at which a
+/// pop (3 → 2) skips the wake.
+pub fn pop_wakes_scheduler(len_after_pop: usize, queue_depth: usize) -> bool {
+    len_after_pop <= queue_depth / 2
+}
+
+/// Whether a tenant is finished: it will be pulled no more
+/// (`exhausted`) and every frame it pulled has completed. The
+/// scheduler's harvest releases a finished tenant's tokens, and a
+/// worker's completion wakes the scheduler only when it makes this
+/// true — the only kind of completion harvest and waitlist admission
+/// act on.
+pub fn tenant_finished(exhausted: bool, pulled: u64, completed: u64) -> bool {
+    exhausted && completed == pulled
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,5 +204,27 @@ mod tests {
         let admitted = admit_fifo(&mut ledger, &mut waitlist, |i| projections[i]);
         assert_eq!(admitted, vec![2]);
         assert!(waitlist.is_empty());
+    }
+
+    #[test]
+    fn pops_wake_the_scheduler_at_or_below_half_the_bound() {
+        // (depth, queue lengths after a pop that wake the scheduler)
+        for (depth, waking) in [(1, 0..=0), (2, 0..=1), (3, 0..=1), (4, 0..=2), (5, 0..=2)] {
+            for left in 0..depth {
+                assert_eq!(
+                    pop_wakes_scheduler(left, depth),
+                    waking.contains(&left),
+                    "depth {depth}, {left} left"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_tenant_finishes_when_exhausted_with_nothing_in_flight() {
+        assert!(tenant_finished(true, 3, 3));
+        assert!(tenant_finished(true, 0, 0));
+        assert!(!tenant_finished(true, 3, 2), "a frame is still in flight");
+        assert!(!tenant_finished(false, 3, 3), "the source may have more");
     }
 }

@@ -19,12 +19,15 @@ use crate::qos::QosClass;
 use crate::tenant::TenantId;
 
 /// One executed frame's wall-clock timing, split into the time it sat
-/// in its class queue and the time a worker spent executing it.
+/// in its class queue and the wall time around its execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameLatency {
     /// Nanoseconds between enqueue and worker pickup.
     pub queue_ns: u64,
-    /// Nanoseconds the worker spent executing.
+    /// Wall-clock nanoseconds around the worker's `execute` call. This
+    /// is not CPU time: it includes any time the worker was preempted
+    /// by other threads (the scheduler compiling, other workers, other
+    /// processes) while the frame ran.
     pub exec_ns: u64,
 }
 
@@ -52,7 +55,8 @@ pub struct LatencyStats {
     pub max_ms: f64,
     /// Mean queue wait, milliseconds.
     pub mean_queue_ms: f64,
-    /// Mean execute time, milliseconds.
+    /// Mean wall time around execution, milliseconds (see
+    /// [`FrameLatency::exec_ns`]).
     pub mean_exec_ms: f64,
 }
 

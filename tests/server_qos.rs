@@ -179,9 +179,13 @@ fn waitlisted_tenants_are_admitted_fifo_as_tokens_free() {
 }
 
 /// Backpressure never deadlocks: tiny queues, every class saturated,
-/// multiple tenants per class — the run completes inside a generous
-/// wall budget relative to the same work done directly (the
-/// `tests/shard_backoff.rs` budget idiom).
+/// multiple tenants per class, and waitlisted tenants that only a
+/// finishing tenant's released tokens can admit — at queue depths 1, 2
+/// and 3 (watermark 0, every pop wakes, the first pop that skips its
+/// wake) with 1 to 3 workers. Each run happens on its own thread and
+/// must report inside a generous wall budget relative to the same work
+/// done directly (the `tests/shard_backoff.rs` budget idiom), so a lost
+/// wakeup fails the test instead of hanging it.
 #[test]
 fn saturated_classes_with_tiny_queues_never_deadlock() {
     let frames = 5u64;
@@ -196,37 +200,58 @@ fn saturated_classes_with_tiny_queues_never_deadlock() {
         .unwrap();
     let one_direct = t0.elapsed();
 
-    let mut server = StreamServer::new(ServerConfig::default().with_workers(2).with_queue_depth(1));
     let classes = [
         QosClass::Interactive,
         QosClass::Standard,
         QosClass::Background,
     ];
-    let tenants = 9;
-    for i in 0..tenants {
-        server
-            .submit(
-                cls_spec(&format!("t{i}")).with_qos(classes[i % 3]),
-                SyntheticSource::new(1200, frames),
-            )
-            .unwrap();
-    }
-    let t1 = Instant::now();
-    let report = server.run();
-    let wall = t1.elapsed();
-
-    assert_eq!(report.frame_count(), tenants as u64 * frames);
-    assert!(report.all_clean());
-    for class in &report.classes {
-        assert_eq!(class.tenants, 3);
-        assert_eq!(class.latency.frames, 3 * frames);
-    }
+    // Nine tenants fill the ledger; three more wait until finishing
+    // tenants release their tokens.
+    let (admitted, waitlisted) = (9, 3);
+    let tenants = admitted + waitlisted;
     let budget = one_direct * tenants as u32 * 25 + Duration::from_secs(5);
-    assert!(
-        wall <= budget,
-        "9 tenants on depth-1 queues took {wall:?} against {budget:?} \
-         (one direct stream: {one_direct:?}) — scheduler or condvar thrash"
-    );
+    for depth in 1..=3 {
+        for workers in 1..=3 {
+            let mut server = StreamServer::new(
+                ServerConfig::default()
+                    .with_workers(workers)
+                    .with_queue_depth(depth)
+                    .with_capacity(admitted as u64 * frames),
+            );
+            for i in 0..tenants {
+                let spec = cls_spec(&format!("t{i}")).with_qos(classes[i % 3]);
+                let source = SyntheticSource::new(1200, frames);
+                if i < admitted {
+                    server.submit(spec, source).unwrap();
+                } else {
+                    server.submit_queued(spec, source).unwrap();
+                }
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            // The receiver is gone only once the test failed on its
+            // timeout, so a send error needs no handling.
+            let runner = std::thread::spawn(move || {
+                let _ = tx.send(server.run());
+            });
+            let report = rx.recv_timeout(budget).unwrap_or_else(|err| {
+                panic!(
+                    "{tenants} tenants on depth-{depth} queues with {workers} workers gave no \
+                     report within {budget:?} (one direct stream: {one_direct:?}; {err}) — a \
+                     lost wakeup, a deadlock, or scheduler or condvar thrash"
+                )
+            });
+            runner.join().expect("the server thread sent its report");
+
+            let at = format!("depth {depth}, {workers} workers");
+            assert_eq!(report.frame_count(), tenants as u64 * frames, "{at}");
+            assert_eq!(report.queued_admissions, waitlisted as u64, "{at}");
+            assert!(report.all_clean(), "{at}");
+            for class in &report.classes {
+                assert_eq!(class.tenants, 4, "{at}");
+                assert_eq!(class.latency.frames, 4 * frames, "{at}");
+            }
+        }
+    }
 }
 
 /// Weighted-fair isolation: Interactive p95 under full Background
