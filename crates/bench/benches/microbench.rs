@@ -189,13 +189,17 @@ fn bench_engine_frame(c: &mut Criterion) {
     // `CompiledPipeline::execute` with the domain's default options, so
     // engine selection and report assembly are timed with the run
     // (`engine_cls` calls `run_with` directly). The designs are
-    // `server-mix`'s at 1200 elements and the 4608-element LiDAR sweep
-    // bucket `lidar-stream` executes.
+    // `server-mix`'s six base designs (1200, 2400 and 3600 elements) and
+    // the 4608-element LiDAR sweep bucket `lidar-stream` executes.
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let mut g = c.benchmark_group("engine_frame");
     for (domain, elements) in [
         (AppDomain::Classification, 1200u64),
+        (AppDomain::Classification, 2400),
+        (AppDomain::Classification, 3600),
         (AppDomain::Registration, 1200),
+        (AppDomain::Registration, 2400),
+        (AppDomain::Registration, 3600),
         (AppDomain::Registration, 4608),
     ] {
         let compiled = fw.compile(domain, elements).unwrap();

@@ -9,7 +9,7 @@ use streamgrid_optimizer::{
     OptimizeConfig, Schedule,
 };
 use streamgrid_sim::{
-    run_with, BufferPolicy, EnergyBreakdown, EnergyModel, EngineConfig, EngineMode,
+    BufferPolicy, EnergyBreakdown, EnergyModel, EngineConfig, EngineLayout, EngineMode,
     GlobalLatencyModel, RingParams, RunReport,
 };
 use streamgrid_verify::{lint_graph, Certificate, Diagnostic, LintContext, Severity};
@@ -45,6 +45,12 @@ pub struct CompiledPipeline {
     /// Linter findings for this design (deterministic in the compile
     /// key, so cache-rebuilt designs carry identical diagnostics).
     pub lints: Vec<Diagnostic>,
+    /// The engines' layout of `graph` and `edges`, built with the design
+    /// so that [`CompiledPipeline::execute`] validates and lays out the
+    /// graph once, not once per frame. Each run still reads the start
+    /// cycles, buffer sizes and initiation interval from `schedule` and
+    /// `plan`.
+    layout: EngineLayout,
 }
 
 /// Aggregated lint findings carried on every [`ExecutionReport`], so
@@ -414,6 +420,7 @@ impl StreamGrid {
         schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
         let lints = lint_compiled(&graph, &self.config, chunk_elements, n_chunks);
         Ok(CompiledPipeline {
+            layout: EngineLayout::new(&graph, &edges),
             graph,
             edges,
             schedule,
@@ -455,6 +462,7 @@ impl StreamGrid {
         let plan = plan_multi_chunk(&graph, &edges);
         let lints = lint_compiled(&graph, &self.config, chunk_elements, n_chunks);
         Some(CompiledPipeline {
+            layout: EngineLayout::new(&graph, &edges),
             graph,
             edges,
             schedule,
@@ -612,9 +620,7 @@ impl CompiledPipeline {
         } else {
             options.exec_mode.resolve_uncapped(latency)
         };
-        let run_report = run_with(
-            &self.graph,
-            &self.edges,
+        let run_report = self.layout.run(
             &self.schedule,
             &self.plan,
             &options.energy_model,

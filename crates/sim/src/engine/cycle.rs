@@ -11,7 +11,7 @@ use super::state::{EngineState, Step};
 use super::EngineConfig;
 
 /// Drives `state` to completion one cycle at a time.
-pub(super) fn run_to_completion(state: &mut EngineState, config: &EngineConfig) {
+pub(super) fn run_to_completion(state: &mut EngineState<'_>, config: &EngineConfig) {
     while state.any_incomplete() {
         if state.now >= config.max_cycles {
             break;

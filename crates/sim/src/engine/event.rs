@@ -15,8 +15,8 @@
 //!    a fixed set, each stepping its rate accumulators. Their joint
 //!    phase repeats every micro-period `P`, the lcm of the accumulators'
 //!    periods (44 cycles for a stencil reading 3/11 per cycle feeding a
-//!    sink at 3/4). Once the next event is more than `P` away the
-//!    engine steps one span of `P` cycles through the normal stepper,
+//!    sink at 3/4). Where at least two periods fit before the next event
+//!    the engine steps one span of `P` cycles through the normal stepper,
 //!    watching every `min` in [`super::state::step_stage`] that could
 //!    bind to something other than a rate accumulator: a read cut by
 //!    the chunk's remaining count or by a short buffer, a write cut by
@@ -46,19 +46,42 @@
 //!
 //! Cycles the engine cannot prove uneventful or repeating — around each
 //! event, the clamped cycles, truncated or overflowing runs — go through
-//! the same [`EngineState::step_cycle`] the oracle uses, which is why the
-//! resulting [`super::RunReport`]s are bit-identical by construction.
+//! the same stage sweep the oracle's [`EngineState::step_cycle`] runs,
+//! which is why the resulting [`super::RunReport`]s are bit-identical by
+//! construction.
 //!
 //! **Cost model.** Stepped cycles ([`super::RunReport::stepped_cycles`])
 //! grow with the number of event-free spans times a few micro-periods —
 //! the span's clamped start, the observed period, and the remainder
-//! before the next event — not with the cycle count. A span shorter than
-//! `2P` is stepped whole, and so is a stretch where clamps keep binding
-//! (starvation, a full buffer); there span attempts back off
-//! exponentially until the next event, so such a stretch costs within
-//! about 1.5× of what the oracle pays. Across chunks, the steady-state
-//! skip bounds the spans stepped by O(makespan + II) instead of
-//! O(n_chunks × II).
+//! before the next event — not with the cycle count. Across chunks, the
+//! steady-state skip bounds the spans stepped by O(makespan + II)
+//! instead of O(n_chunks × II).
+//!
+//! A plain step costs what the oracle's does, but opening a span also
+//! finds the horizon and the micro-period, snapshots the state and
+//! re-arms the watch, and closing it bounds the repeats: several plain
+//! steps' worth. So a span opens only where it can skip:
+//!
+//! - at least two periods fit before the horizon: a span with less than
+//!   one period left after it gets no repeat by construction;
+//! - the plain step just before it was clamp-free: a clamp that bound
+//!   one cycle — a chunk's count running out, a starved read, the
+//!   read-share cap early in a chunk — mostly binds the next;
+//! - no stage is still draining the remaining count that cut the last
+//!   replay short: that count runs out within one more span, so no span
+//!   repeats until the stage's chunk completes.
+//!
+//! Only the plain step just before a possible opening notes its clamps
+//! ([`EngineState::step_cycle_flagged`]); the others run the oracle's
+//! sweep as is. Where clamps keep binding (starvation, a full buffer),
+//! span attempts back off exponentially until the next event — after a
+//! clamped span and after a clamped plain step alike — so such a stretch
+//! costs about what the oracle pays. On `server-mix`'s most common design
+//! (classification at `linear(4, 2)` and 1200 elements) the engine used
+//! to open a span on 93 of its 118 stepped cycles, nearly all of them
+//! one cycle long and 69 of them clamped, and span bookkeeping was about
+//! half of the run; it now opens 15 spans, of which 4 clamp and 10
+//! replay, and steps 122 cycles.
 //!
 //! The fast path requires [`super::GlobalLatencyModel::Deterministic`];
 //! [`super::run_with`] falls back to the oracle for variable latency,
@@ -77,7 +100,7 @@ const MAX_RETRY_GAP: u64 = 1024;
 
 /// Drives `state` to completion, skipping provably-idle gaps and
 /// provably-repeating spans.
-pub(super) fn run_to_completion(state: &mut EngineState, config: &EngineConfig) {
+pub(super) fn run_to_completion(state: &mut EngineState<'_>, config: &EngineConfig) {
     // Last initiation-interval boundary, when the run has stepped from
     // it without a jump.
     let mut boundary = Snapshot::default();
@@ -88,11 +111,18 @@ pub(super) fn run_to_completion(state: &mut EngineState, config: &EngineConfig) 
     let mut watch = SpanWatch::default();
     let mut open: Option<(u64, u64)> = None;
     // No span is tried before `retry_at`: either none fits before the
-    // next event, or spans keep clamping and retries back off
-    // exponentially until that event, so that clamp-bound stretches
+    // next event, or spans or plain steps keep clamping and retries back
+    // off exponentially until that event, so that clamp-bound stretches
     // cost plain steps, not snapshots.
     let mut retry_at = 0u64;
     let mut backoff = 1u64;
+    // Whether the last plain step clamped: a span opened next would
+    // most likely clamp too.
+    let mut clamped = false;
+    // The stage whose remaining count cut the last replay short, and
+    // the chunk it was in: until that chunk completes, every span runs
+    // that count out and cannot repeat.
+    let mut draining: Option<(usize, u64)> = None;
     while state.any_incomplete() {
         if state.now >= config.max_cycles {
             break;
@@ -102,6 +132,7 @@ pub(super) fn run_to_completion(state: &mut EngineState, config: &EngineConfig) 
             if let Some(next) = state.next_event_if_quiescent() {
                 state.now = next.min(config.max_cycles);
                 retry_at = 0;
+                clamped = false;
                 continue;
             }
         }
@@ -125,21 +156,40 @@ pub(super) fn run_to_completion(state: &mut EngineState, config: &EngineConfig) 
                 boundary.capture(state);
                 have_boundary = true;
             }
-            // Open a micro-period span when one fits before the next
-            // event; otherwise step plainly up to that event.
-            let horizon = state.horizon(config.max_cycles);
-            match state.micro_period(MAX_MICRO_PERIOD) {
-                Some(period) if state.now + period <= horizon => {
-                    span.capture(state);
-                    watch.reset(&state.buffers);
-                    open = Some((state.now + period, horizon));
+            // Open a micro-period span only where it can skip: after a
+            // clamp-free step, with no stage draining the count that cut
+            // the last replay short, and with room for the span and at
+            // least one repeat before the next event. After a clamped
+            // step, back off as after a clamped span; past the horizon a
+            // new regime starts.
+            let drained = draining.is_none_or(|(si, chunk)| state.stages[si].chunk != chunk);
+            if drained {
+                let horizon = state.horizon(config.max_cycles);
+                if clamped {
+                    retry_at = (state.now + backoff).min(horizon);
+                    backoff = next_backoff(backoff, retry_at, horizon);
+                } else {
+                    match state.micro_period(MAX_MICRO_PERIOD) {
+                        Some(period) if state.now + 2 * period <= horizon => {
+                            span.capture(state);
+                            watch.reset(&state.buffers);
+                            open = Some((state.now + period, horizon));
+                        }
+                        _ => retry_at = horizon,
+                    }
                 }
-                _ => retry_at = horizon,
             }
         }
-        let step = match open {
-            Some(_) => state.step_cycle_watched(config, &mut watch),
-            None => state.step_cycle(config),
+        let step = if open.is_some() {
+            state.step_cycle_watched(config, &mut watch)
+        } else if state.now + 1 >= retry_at {
+            // The next cycle may open a span: note whether this one
+            // clamps.
+            let (step, clamps) = state.step_cycle_flagged(config);
+            clamped = clamps;
+            step
+        } else {
+            state.step_cycle(config)
         };
         if step == Step::Overflow {
             break;
@@ -148,20 +198,27 @@ pub(super) fn run_to_completion(state: &mut EngineState, config: &EngineConfig) 
             if watch.clamped {
                 open = None;
                 retry_at = (state.now + backoff - 1).min(horizon);
-                // A new event starts a new regime: retry promptly there.
-                backoff = if retry_at == horizon {
-                    1
-                } else {
-                    (backoff * 2).min(MAX_RETRY_GAP)
-                };
+                backoff = next_backoff(backoff, retry_at, horizon);
             } else if state.now == end {
                 open = None;
                 backoff = 1;
-                let repeats = state.span_repeats(&span, &watch, horizon);
+                let (repeats, cut_by) = state.span_repeats(&span, &watch, horizon);
                 if repeats > 0 {
                     state.fast_forward(repeats, &span, Some(&watch));
                 }
+                draining = cut_by.map(|si| (si, state.stages[si].chunk));
             }
         }
+    }
+}
+
+/// The retry gap after `retry_at`: doubled while clamps keep binding,
+/// and reset where a new event starts a new regime, so that retries
+/// there are prompt.
+fn next_backoff(backoff: u64, retry_at: u64, horizon: u64) -> u64 {
+    if retry_at == horizon {
+        1
+    } else {
+        (backoff * 2).min(MAX_RETRY_GAP)
     }
 }

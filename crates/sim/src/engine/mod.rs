@@ -10,7 +10,13 @@
 //! overflows** (asserted by the integration tests), while variable
 //! (non-DT) global-op latency provokes the stalls the paper describes.
 //!
-//! Three engines share one stepping core (`state.rs`):
+//! Three engines share one stepping core (`state.rs`) over one
+//! [`EngineLayout`] per design — the validated graph's stepping order
+//! and each stage's kind, edges, rates, depth and chunk volumes. A
+//! compiled design builds its layout once; each run keeps only
+//! flat counters over it and reads start cycles, buffer sizes and `II`
+//! from its schedule and plan. [`run_with`] lays the design out for its
+//! one run, so every engine and test goes through the same path.
 //!
 //! * [`EngineMode::CycleAccurate`] (`cycle.rs`) — the reference oracle,
 //!   stepping every stage on every cycle;
@@ -23,7 +29,10 @@
 //!   cut below its rate repeats, drifting linearly, until an exact
 //!   integer bound on some remaining count, buffer margin or read-share
 //!   cap margin runs out), and whole initiation intervals once the
-//!   steady state repeats as a one-chunk shift. Stepped cycles
+//!   steady state repeats as a one-chunk shift. A span opens only where
+//!   it can skip: two periods fit before the next event, the plain step
+//!   before it was clamp-free, and no stage is draining the count that
+//!   cut the last replay short. Stepped cycles
 //!   ([`RunReport::stepped_cycles`]) scale with spans × a few `P`, not
 //!   with cycles. Under [`GlobalLatencyModel::Deterministic`] it returns
 //!   **bit-identical** [`RunReport`]s to the oracle; under variable
@@ -49,6 +58,7 @@ use streamgrid_optimizer::{EdgeInfo, MultiChunkPlan, Schedule};
 use crate::energy::EnergyModel;
 use state::EngineState;
 
+pub use state::EngineLayout;
 pub use stats::{BackoffStats, RunReport};
 
 /// Latency behavior of global-dependent stages.
@@ -225,6 +235,10 @@ pub fn run(
 /// the parallel run. Reports from all engines are bit-identical whenever
 /// each is exact, so the choice is purely a wall-time trade.
 ///
+/// Lays the design out for this one run; a caller that runs one design
+/// many times builds its [`EngineLayout`] once and calls
+/// [`EngineLayout::run`].
+///
 /// # Panics
 ///
 /// Panics if the graph fails validation or the schedule's dimensions do
@@ -239,31 +253,52 @@ pub fn run_with(
     config: &EngineConfig,
     mode: EngineMode,
 ) -> RunReport {
-    // One source of truth for the fallback policy: an EventDriven
-    // request degrades to whatever `fastest_exact` says is still exact
-    // for this latency model (core's `ExecMode::resolve` delegates to
-    // the same function, so the recorded mode always matches).
-    let mode = match mode {
-        EngineMode::CycleAccurate => EngineMode::CycleAccurate,
-        EngineMode::EventDriven => EngineMode::fastest_exact(config.global_latency),
-        EngineMode::Sharded(n) => EngineMode::Sharded(n),
-    };
-    let mut state = EngineState::new(graph, edges, schedule, plan, config);
-    match mode {
-        EngineMode::CycleAccurate => cycle::run_to_completion(&mut state, config),
-        EngineMode::EventDriven => event::run_to_completion(&mut state, config),
-        EngineMode::Sharded(n) => {
-            if !shard::run_to_completion(&mut state, config, n as usize) {
-                // Strict overflow aborted the parallel run. Rebuild and
-                // replay on the oracle — `EngineState::new` re-samples
-                // any variable-latency factors from the same seed, so
-                // the rerun is the run the oracle would have produced.
-                state = EngineState::new(graph, edges, schedule, plan, config);
-                cycle::run_to_completion(&mut state, config);
+    EngineLayout::new(graph, edges).run(schedule, plan, energy_model, config, mode)
+}
+
+impl EngineLayout {
+    /// Runs the design under `schedule` and `plan` on the engine `mode`
+    /// names — [`run_with`] without the layout step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule's dimensions do not match the layout.
+    pub fn run(
+        &self,
+        schedule: &Schedule,
+        plan: &MultiChunkPlan,
+        energy_model: &EnergyModel,
+        config: &EngineConfig,
+        mode: EngineMode,
+    ) -> RunReport {
+        // One source of truth for the fallback policy: an EventDriven
+        // request degrades to whatever `fastest_exact` says is still
+        // exact for this latency model (core's `ExecMode::resolve`
+        // delegates to the same function, so the recorded mode always
+        // matches).
+        let mode = match mode {
+            EngineMode::CycleAccurate => EngineMode::CycleAccurate,
+            EngineMode::EventDriven => EngineMode::fastest_exact(config.global_latency),
+            EngineMode::Sharded(n) => EngineMode::Sharded(n),
+        };
+        let mut state = EngineState::new(self, schedule, plan, config);
+        match mode {
+            EngineMode::CycleAccurate => cycle::run_to_completion(&mut state, config),
+            EngineMode::EventDriven => event::run_to_completion(&mut state, config),
+            EngineMode::Sharded(n) => {
+                if !shard::run_to_completion(&mut state, config, n as usize) {
+                    // Strict overflow aborted the parallel run. Rebuild
+                    // and replay on the oracle — `EngineState::new`
+                    // re-samples any variable-latency factors from the
+                    // same seed, so the rerun is the run the oracle would
+                    // have produced.
+                    state = EngineState::new(self, schedule, plan, config);
+                    cycle::run_to_completion(&mut state, config);
+                }
             }
         }
+        state.finalize(energy_model, config)
     }
-    state.finalize(energy_model, config)
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ use std::time::Duration;
 
 use crate::linebuffer::LineBuffer;
 
-use super::state::{step_stage, CycleAcct, EdgeIo, EngineState, StageState};
+use super::state::{step_stage, CycleAcct, EdgeIo, EngineLayout, EngineState, StageState};
 use super::stats::BackoffStats;
 use super::{EngineConfig, RingParams};
 
@@ -298,6 +298,9 @@ struct XOut<'a> {
 struct Shard<'a> {
     idx: usize,
     stages: Vec<(usize, StageState)>,
+    /// A copy of the run's remaining counts, of which only the slots of
+    /// this shard's stages move.
+    remaining: Vec<u64>,
     bufs: Vec<Option<LineBuffer>>,
     xins: Vec<Option<XIn<'a>>>,
     xin_edges: Vec<usize>,
@@ -362,6 +365,7 @@ impl EdgeIo for ShardIo<'_, '_> {
 /// What one shard thread hands back.
 struct ShardResult {
     stages: Vec<(usize, StageState)>,
+    remaining: Vec<u64>,
     bufs: Vec<(usize, LineBuffer)>,
     /// Local cycles completed (`now` is the max across shards).
     cycles: u64,
@@ -418,7 +422,7 @@ fn run_shard(
     config: &EngineConfig,
     n_chunks: u64,
     ii: u64,
-    edge_volume: &[u64],
+    layout: &EngineLayout,
     ring: RingParams,
     me: &Progress,
     abort: &AtomicBool,
@@ -482,7 +486,11 @@ fn run_shard(
         let mut overflow = false;
         {
             let Shard {
-                stages, bufs, xins, ..
+                stages,
+                remaining,
+                bufs,
+                xins,
+                ..
             } = &mut task;
             let mut io = ShardIo {
                 bufs,
@@ -491,7 +499,7 @@ fn run_shard(
                 ring,
                 bk: &mut bk,
             };
-            for (_, stage) in stages.iter_mut() {
+            for (si, stage) in stages.iter_mut() {
                 if !stage.active(t, n_chunks, ii) {
                     continue;
                 }
@@ -500,14 +508,7 @@ fn run_shard(
                     continue;
                 }
                 if step_stage(
-                    stage,
-                    &mut io,
-                    t,
-                    n_chunks,
-                    ii,
-                    edge_volume,
-                    config,
-                    &mut acct,
+                    layout, *si, stage, remaining, &mut io, t, n_chunks, ii, config, &mut acct,
                 )
                 .is_some()
                 {
@@ -582,6 +583,7 @@ fn run_shard(
     let _ = task.idx;
     ShardResult {
         stages: task.stages,
+        remaining: task.remaining,
         bufs: task
             .bufs
             .into_iter()
@@ -606,11 +608,12 @@ fn run_shard(
 /// `shards <= 1` (after clamping to the stage count) runs the sequential
 /// oracle directly.
 pub(super) fn run_to_completion(
-    state: &mut EngineState,
+    state: &mut EngineState<'_>,
     config: &EngineConfig,
     shards: usize,
 ) -> bool {
-    let n_stages = state.order.len();
+    let layout = state.layout;
+    let n_stages = layout.order.len();
     let n = shards.max(1).min(n_stages.max(1));
     if n <= 1 {
         super::cycle::run_to_completion(state, config);
@@ -619,19 +622,16 @@ pub(super) fn run_to_completion(
 
     // Partition the order, weighting stages by how much per-cycle work
     // they do (one accumulator tick plus one unit per touched edge).
-    let weights: Vec<u64> = state
+    let weights: Vec<u64> = layout
         .order
         .iter()
-        .map(|&si| {
-            let st = &state.stages[si];
-            1 + (st.in_edges.len() + st.out_edges.len()) as u64
-        })
+        .map(|&si| 1 + layout.stages[si].slots().len() as u64)
         .collect();
     let cuts = cut_points(&weights, n);
     let mut shard_of = vec![0usize; state.stages.len()];
     for s in 0..n {
         for k in cuts[s]..cuts[s + 1] {
-            shard_of[state.order[k]] = s;
+            shard_of[layout.order[k]] = s;
         }
     }
 
@@ -639,11 +639,11 @@ pub(super) fn run_to_completion(
     let n_edges = state.buffers.len();
     let mut prod_of = vec![usize::MAX; n_edges];
     let mut cons_of = vec![usize::MAX; n_edges];
-    for (si, st) in state.stages.iter().enumerate() {
-        for &e in &st.out_edges {
+    for (si, shape) in layout.stages.iter().enumerate() {
+        for &e in &layout.slot_edges[shape.out_slots()] {
             prod_of[e] = si;
         }
-        for &e in &st.in_edges {
+        for &e in &layout.slot_edges[shape.in_slots()] {
             cons_of[e] = si;
         }
     }
@@ -694,7 +694,7 @@ pub(super) fn run_to_completion(
     for s in 0..n {
         let stages: Vec<(usize, StageState)> = (cuts[s]..cuts[s + 1])
             .map(|k| {
-                let si = state.order[k];
+                let si = layout.order[k];
                 (si, stage_opts[si].take().expect("each stage in one shard"))
             })
             .collect();
@@ -737,6 +737,7 @@ pub(super) fn run_to_completion(
         tasks.push(Shard {
             idx: s,
             stages,
+            remaining: state.remaining.clone(),
             bufs,
             xins,
             xin_edges,
@@ -746,7 +747,6 @@ pub(super) fn run_to_completion(
 
     let n_chunks = state.n_chunks;
     let ii = state.ii;
-    let edge_volume = &state.edge_volume;
     let results: Vec<ShardResult> = std::thread::scope(|scope| {
         let abort = &abort;
         let progress = &progress;
@@ -756,7 +756,7 @@ pub(super) fn run_to_completion(
             .map(|task| {
                 scope.spawn(move || {
                     let me = &progress[task.idx];
-                    run_shard(task, config, n_chunks, ii, edge_volume, ring, me, abort)
+                    run_shard(task, config, n_chunks, ii, layout, ring, me, abort)
                 })
             })
             .collect();
@@ -765,7 +765,7 @@ pub(super) fn run_to_completion(
             config,
             n_chunks,
             ii,
-            edge_volume,
+            layout,
             ring,
             &progress[0],
             abort,
@@ -800,6 +800,8 @@ pub(super) fn run_to_completion(
     state.starved_cycles += starve.iter().map(|w| w.count_ones() as u64).sum::<u64>();
     for res in results {
         for (si, st) in res.stages {
+            let slots = layout.stages[si].slots();
+            state.remaining[slots.clone()].copy_from_slice(&res.remaining[slots]);
             stage_opts[si] = Some(st);
         }
         for (e, lb) in res.bufs {

@@ -1,5 +1,15 @@
-//! Shared mutable execution state: stage bookkeeping, integer-exact rate
-//! accumulators, and the single-cycle stepper that every engine drives.
+//! Shared execution state: the per-design engine layout, integer-exact
+//! rate accumulators, and the single-cycle stepper that every engine
+//! drives.
+//!
+//! A run splits into what its design fixes and what the run changes.
+//! [`EngineLayout`] holds the first — the validated graph's stepping
+//! order and each stage's kind, edge slots, rates, depth and chunk
+//! volumes — and a compiled design builds it once.
+//! [`EngineState`] holds the second as flat counters over that layout:
+//! each stage's chunk index, accumulator phases and read progress, one
+//! remaining count per edge slot, and the line buffers, with start
+//! cycles, buffer sizes and `II` read from the run's schedule and plan.
 //!
 //! [`step_stage`] is the *only* place simulated work happens; the
 //! cycle-accurate oracle calls it for every stage on every cycle
@@ -20,6 +30,8 @@
 //! chunk change, bounded drift), which reads the clamp margins a
 //! [`WatchIo`] recorded while the span was stepped.
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use streamgrid_dataflow::{DataflowGraph, OpKind, Rate};
@@ -32,18 +44,17 @@ use crate::linebuffer::LineBuffer;
 use super::stats::{BackoffStats, RunReport};
 use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
 
-/// Integer-exact rational rate accumulator: emits `num/den` elements per
+/// Integer-exact rational rate: a stage side emits `num/den` elements per
 /// cycle on average, never fractionally. The rate is pre-split into its
-/// whole and fractional parts so a step needs no division.
-#[derive(Debug, Clone)]
+/// whole and fractional parts so a step needs no division; the
+/// accumulator's phase lives in the run's [`StageState`].
+#[derive(Debug, Clone, Copy)]
 pub(super) struct RateAcc {
     /// `num / den`: elements every step emits.
     whole: u64,
-    /// `num % den`: what the accumulator gains each step.
+    /// `num % den`: what the phase gains each step.
     frac: u64,
     den: u64,
-    /// Phase, always `< den`.
-    acc: u64,
     /// Steps after which the phase repeats: `den / gcd(num, den)`.
     period: u64,
 }
@@ -56,23 +67,19 @@ impl RateAcc {
             whole: num / den,
             frac: num % den,
             den,
-            acc: 0,
             period: den / gcd(num, den),
         }
     }
 
-    fn step(&mut self) -> u64 {
-        self.acc += self.frac;
-        if self.acc >= self.den {
-            self.acc -= self.den;
+    /// Elements this step emits; advances `phase`, which stays `< den`.
+    fn step(&self, phase: &mut u64) -> u64 {
+        *phase += self.frac;
+        if *phase >= self.den {
+            *phase -= self.den;
             self.whole + 1
         } else {
             self.whole
         }
-    }
-
-    fn reset(&mut self) {
-        self.acc = 0;
     }
 }
 
@@ -83,27 +90,146 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
-/// Per-stage execution bookkeeping.
-pub(super) struct StageState {
+/// What one stage does in every run of a design.
+#[derive(Debug, Clone)]
+pub(super) struct StageLayout {
     kind: OpKind,
     /// Pipeline depth: write-phase gate offset from the chunk issue.
     depth: u64,
+    read_rate: RateAcc,
+    write_rate: RateAcc,
+    /// Elements to read per chunk (max over in-edges; 0 for sources).
+    read_total: u64,
+    /// Elements to write per chunk on every out-edge (max over them).
+    write_total: u64,
+    /// The stage's slots in [`EngineLayout::slot_edges`]: its in-edges
+    /// from `first_in`, its out-edges from `first_out`, up to `end`.
+    first_in: usize,
+    first_out: usize,
+    end: usize,
+}
+
+impl StageLayout {
+    pub(super) fn in_slots(&self) -> Range<usize> {
+        self.first_in..self.first_out
+    }
+
+    pub(super) fn out_slots(&self) -> Range<usize> {
+        self.first_out..self.end
+    }
+
+    /// Every slot of the stage: in-edges, then out-edges.
+    pub(super) fn slots(&self) -> Range<usize> {
+        self.first_in..self.end
+    }
+
+    fn reads(&self) -> bool {
+        self.first_in < self.first_out
+    }
+
+    fn writes(&self) -> bool {
+        self.first_out < self.end
+    }
+}
+
+/// What a compiled design fixes for every run of it: the validated
+/// graph's stepping order and each stage's kind, edges, rates, depth and
+/// chunk volumes. Build it once per design with [`EngineLayout::new`],
+/// then run it under the design's schedule with [`EngineLayout::run`]; a
+/// run reads only start cycles, buffer sizes and the initiation interval
+/// from its schedule and plan, so a sabotaged copy of the schedule runs
+/// on the same layout.
+#[derive(Debug, Clone)]
+pub struct EngineLayout {
+    pub(super) stages: Vec<StageLayout>,
+    /// Each stage's in-edges then out-edges, stage after stage: the edge
+    /// behind every count of [`EngineState::remaining`].
+    pub(super) slot_edges: Vec<usize>,
+    /// Stage visit order within a cycle: consumers before producers, so
+    /// a same-cycle read frees the space a same-cycle write needs —
+    /// matching the fluid simultaneity the ILP occupancy model assumes.
+    pub(super) order: Vec<usize>,
+    /// Per-edge chunk volume (`W_P`), indexed like the buffers.
+    pub(super) edge_volume: Vec<u64>,
+}
+
+impl EngineLayout {
+    /// Lays out a design: `edges` are the per-edge constants of `graph`
+    /// at the design's chunk size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph fails validation.
+    pub fn new(graph: &DataflowGraph, edges: &[EdgeInfo]) -> Self {
+        graph.validate().expect("invalid graph");
+        let mut stages = Vec::with_capacity(graph.node_count());
+        let mut slot_edges = Vec::with_capacity(2 * edges.len());
+        for (id, node) in graph.nodes() {
+            let first_in = slot_edges.len();
+            slot_edges.extend((0..edges.len()).filter(|&e| edges[e].consumer == id));
+            let first_out = slot_edges.len();
+            slot_edges.extend((0..edges.len()).filter(|&e| edges[e].producer == id));
+            let (ins, outs) = slot_edges[first_in..].split_at(first_out - first_in);
+            // Rates, depths, and volumes come from the optimizer's
+            // per-edge constants ([`EdgeInfo`]) — the engine no longer
+            // re-derives them from Tbl. 1 parameters. All in-edges share
+            // the consumer's τ_in and all out-edges the producer's τ_out
+            // and depth, so the first edge of each list is authoritative.
+            let read_rate = ins.first().map_or(Rate::ZERO, |&e| edges[e].tau_in_rate);
+            let write_rate = outs.first().map_or(Rate::ZERO, |&e| edges[e].tau_out_rate);
+            let depth = outs.first().map_or(0, |&e| edges[e].depth_p);
+            let read_total = ins.iter().map(|&e| edges[e].volume).max().unwrap_or(0);
+            let write_total = outs.iter().map(|&e| edges[e].volume).max().unwrap_or(0);
+            stages.push(StageLayout {
+                kind: node.kind,
+                depth,
+                read_rate: RateAcc::new(read_rate),
+                write_rate: RateAcc::new(write_rate),
+                read_total,
+                write_total,
+                first_in,
+                first_out,
+                end: slot_edges.len(),
+            });
+        }
+        let mut order: Vec<usize> = graph
+            .topo_order()
+            .expect("validated")
+            .into_iter()
+            .map(|id| id.index())
+            .collect();
+        order.reverse();
+        EngineLayout {
+            stages,
+            slot_edges,
+            order,
+            edge_volume: edges.iter().map(|e| e.volume).collect(),
+        }
+    }
+
+    /// Sets `shape`'s slots of `remaining` to a fresh chunk's counts: the
+    /// edge's volume on an in-edge, the stage's write total on an
+    /// out-edge.
+    fn refill(&self, shape: &StageLayout, remaining: &mut [u64]) {
+        for slot in shape.in_slots() {
+            remaining[slot] = self.edge_volume[self.slot_edges[slot]];
+        }
+        remaining[shape.out_slots()].fill(shape.write_total);
+    }
+}
+
+/// One stage's progress in a run.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct StageState {
     /// First-chunk issue cycle; chunk `c` issues at `start + c · II`.
     start: u64,
-    pub(super) in_edges: Vec<usize>,
-    pub(super) out_edges: Vec<usize>,
-    read_acc: RateAcc,
-    write_acc: RateAcc,
     /// Current chunk index (`n_chunks` = all chunks streamed).
     pub(super) chunk: u64,
-    /// Remaining elements to read (per in-edge) for the current chunk.
-    read_remaining: Vec<u64>,
-    /// Remaining elements to write (per out-edge).
-    write_remaining: Vec<u64>,
+    /// Phases of the read and write rate accumulators.
+    read_acc: u64,
+    write_acc: u64,
     /// Elements read so far this chunk (max over in-edges).
     read_done: u64,
-    /// Total to read this chunk (max over in-edges; 0 for sources).
-    read_total: u64,
     /// Slowdown: stage advances only when `slow_acc` rolls over.
     slow_num: u64,
     slow_den: u64,
@@ -117,10 +243,6 @@ impl StageState {
 
     pub(super) fn active(&self, now: u64, n_chunks: u64, ii: u64) -> bool {
         self.chunk < n_chunks && now >= self.issue(self.chunk, ii)
-    }
-
-    fn chunk_done(&self) -> bool {
-        self.read_remaining.iter().all(|&r| r == 0) && self.write_remaining.iter().all(|&w| w == 0)
     }
 
     /// Advances the slowdown accumulator; `true` when the stage may work
@@ -153,10 +275,11 @@ pub(super) enum Step {
 /// returns `min(need, occupancy)`, `free` the space left *after* the
 /// consumer's same-cycle read, `write` never exceeds `free`.
 ///
-/// [`WatchIo`] additionally records every clamp and margin the event
-/// engine needs to certify a micro-period; the hooks below are no-ops
-/// elsewhere and, gated on [`EdgeIo::WATCH`], compile away on the
-/// oracle's and the sharded engine's paths.
+/// The event engine's [`ClampIo`] notes whether a plain step clamped,
+/// and its [`WatchIo`] records every clamp and margin it needs to
+/// certify a micro-period; the hooks below are no-ops elsewhere and,
+/// gated on [`EdgeIo::WATCH`], compile away on the oracle's and the
+/// sharded engine's paths.
 pub(super) trait EdgeIo {
     /// Whether [`step_stage`] reports clamps and cap margins.
     const WATCH: bool = false;
@@ -171,7 +294,7 @@ pub(super) trait EdgeIo {
     /// remaining count, the read-share cap, or free space.
     fn clamped(&mut self) {}
     /// A write to edge `e` cleared its read-share cap by `slack` in
-    /// scaled units (see [`SpanWatch::cap_slack`]).
+    /// scaled units (see [`EdgeWatch::cap_slack`]).
     fn cap_slack(&mut self, _e: usize, _slack: u128) {}
 }
 
@@ -194,40 +317,75 @@ impl EdgeIo for SeqIo<'_> {
     }
 }
 
+/// [`SeqIo`] that also notes whether any transfer was clamped — the
+/// event engine's plain steps, whose outcome decides whether a span may
+/// open next.
+pub(super) struct ClampIo<'a> {
+    buffers: &'a mut [LineBuffer],
+    clamped: bool,
+}
+
+impl EdgeIo for ClampIo<'_> {
+    const WATCH: bool = true;
+
+    fn read(&mut self, e: usize, need: u64, _now: u64) -> u64 {
+        let got = self.buffers[e].read(need);
+        self.clamped |= got < need;
+        got
+    }
+
+    fn free(&mut self, e: usize, _now: u64) -> u64 {
+        self.buffers[e].free()
+    }
+
+    fn write(&mut self, e: usize, n: u64) {
+        self.buffers[e].write(n).expect("space checked");
+    }
+
+    fn clamped(&mut self) {
+        self.clamped = true;
+    }
+}
+
 /// Clamps and margins observed while the event engine steps one
-/// micro-period, per edge. Margins are minima over the span; a margin
-/// that no transfer touched stays at its type's maximum.
+/// micro-period.
 #[derive(Debug, Default)]
 pub(super) struct SpanWatch {
     /// Some transfer was cut below its accumulator's output.
     pub(super) clamped: bool,
+    /// Per edge, indexed like the buffers.
+    edges: Vec<EdgeWatch>,
+}
+
+/// One edge's margins over a span: minima over its transfers, where a
+/// margin that no transfer touched stays at its type's maximum.
+#[derive(Debug, Clone, Copy)]
+struct EdgeWatch {
     /// Occupancy left over after each full read (`occupancy − need`).
-    read_slack: Vec<u64>,
+    read_slack: u64,
     /// Free space left over after each write (`free − n`).
-    write_slack: Vec<u64>,
+    write_slack: u64,
     /// Read-share cap margin of each write, `read_done · volume −
     /// (written + n − 1) · read_total`: the cap admits the write exactly
     /// when this is ≥ 1.
-    cap_slack: Vec<u128>,
+    cap_slack: u128,
     /// Highest occupancy the span reached (after each write), starting
     /// from the occupancy it began with.
-    peak: Vec<u64>,
+    peak: u64,
 }
 
 impl SpanWatch {
     /// Re-arms the watch for a span starting at the buffers' current
-    /// state. Reuses its vectors: no allocation after the first span.
+    /// state. Reuses its vector: no allocation after the first span.
     pub(super) fn reset(&mut self, buffers: &[LineBuffer]) {
-        let n = buffers.len();
         self.clamped = false;
-        self.read_slack.clear();
-        self.read_slack.resize(n, u64::MAX);
-        self.write_slack.clear();
-        self.write_slack.resize(n, u64::MAX);
-        self.cap_slack.clear();
-        self.cap_slack.resize(n, u128::MAX);
-        self.peak.clear();
-        self.peak.extend(buffers.iter().map(|b| b.occupancy()));
+        self.edges.clear();
+        self.edges.extend(buffers.iter().map(|b| EdgeWatch {
+            read_slack: u64::MAX,
+            write_slack: u64::MAX,
+            cap_slack: u128::MAX,
+            peak: b.occupancy(),
+        }));
     }
 }
 
@@ -247,7 +405,7 @@ impl EdgeIo for WatchIo<'_> {
         if got < need {
             self.watch.clamped = true;
         } else {
-            let slack = &mut self.watch.read_slack[e];
+            let slack = &mut self.watch.edges[e].read_slack;
             *slack = (*slack).min(before - need);
         }
         got
@@ -259,11 +417,10 @@ impl EdgeIo for WatchIo<'_> {
 
     fn write(&mut self, e: usize, n: u64) {
         let buffer = &mut self.buffers[e];
-        let slack = &mut self.watch.write_slack[e];
-        *slack = (*slack).min(buffer.free() - n);
+        let watch = &mut self.watch.edges[e];
+        watch.write_slack = watch.write_slack.min(buffer.free() - n);
         buffer.write(n).expect("space checked");
-        let peak = &mut self.watch.peak[e];
-        *peak = (*peak).max(buffer.occupancy());
+        watch.peak = watch.peak.max(buffer.occupancy());
     }
 
     fn clamped(&mut self) {
@@ -271,7 +428,7 @@ impl EdgeIo for WatchIo<'_> {
     }
 
     fn cap_slack(&mut self, e: usize, slack: u128) {
-        let min = &mut self.watch.cap_slack[e];
+        let min = &mut self.watch.edges[e].cap_slack;
         *min = (*min).min(slack);
     }
 }
@@ -293,7 +450,7 @@ pub(super) struct CycleAcct {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Cap {
     /// The whole `want` fits under the cap, with this much margin in the
-    /// scaled units of [`SpanWatch::cap_slack`] (always ≥ 1).
+    /// scaled units of [`EdgeWatch::cap_slack`] (always ≥ 1).
     Full { slack: u128 },
     /// The cap binds: at most this many (fewer than `want`) elements.
     Cut(u64),
@@ -320,32 +477,41 @@ fn read_share_cap(read_done: u64, read_total: u64, volume: u64, written: u64, wa
 }
 
 /// Steps one stage for cycle `now`: read phase, depth-gated write phase,
-/// and chunk-completion check. The caller has already verified the stage
-/// is [`StageState::active`] and [`StageState::tick`]ed. Returns the
-/// overflowing edge when a strict-mode write does not fit — the caller
-/// aborts the cycle mid-sweep with `now` frozen, dropping this stage's
-/// per-stage stall/starve flags exactly as the pre-extraction stepper
-/// did.
+/// and chunk-completion check. `si` names the stage in `layout`, and
+/// `remaining` holds the run's counts for every slot of the layout. The
+/// caller has already verified the stage is [`StageState::active`] and
+/// [`StageState::tick`]ed. Returns the overflowing edge when a
+/// strict-mode write does not fit — the caller aborts the cycle
+/// mid-sweep with `now` frozen, dropping this stage's per-stage
+/// stall/starve flags exactly as the pre-extraction stepper did.
+///
+/// Always inlined into each engine's sweep: left to the optimizer, the
+/// oracle's per-cycle loop ran 3–6 % slower (medians of 30 to 200
+/// alternating runs on a 2-vCPU Xeon host).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(super) fn step_stage<IO: EdgeIo>(
+    layout: &EngineLayout,
+    si: usize,
     stage: &mut StageState,
+    remaining: &mut [u64],
     io: &mut IO,
     now: u64,
     n_chunks: u64,
     ii: u64,
-    edge_volume: &[u64],
     config: &EngineConfig,
     acct: &mut CycleAcct,
 ) -> Option<usize> {
+    let shape = &layout.stages[si];
     // Read phase.
     let mut stalled = false;
     let mut starved = false;
-    if !stage.in_edges.is_empty() {
-        let want = stage.read_acc.step();
+    if shape.reads() {
+        let want = shape.read_rate.step(&mut stage.read_acc);
         let mut max_read = 0u64;
-        for slot in 0..stage.in_edges.len() {
-            let e = stage.in_edges[slot];
-            let need = want.min(stage.read_remaining[slot]);
+        for slot in shape.in_slots() {
+            let e = layout.slot_edges[slot];
+            let need = want.min(remaining[slot]);
             if IO::WATCH && need < want {
                 io.clamped();
             }
@@ -354,7 +520,7 @@ pub(super) fn step_stage<IO: EdgeIo>(
             }
             let got = io.read(e, need, now);
             acct.sram_dynamic_bytes += got * config.bytes_per_element;
-            stage.read_remaining[slot] -= got;
+            remaining[slot] -= got;
             max_read = max_read.max(got);
             // No data at all while work is pending: starvation (the
             // producer is slower or not yet scheduled) — not an on-chip
@@ -368,8 +534,8 @@ pub(super) fn step_stage<IO: EdgeIo>(
     // Sources are driven purely by the write phase below; each accepted
     // element is one DRAM read.
     // Write phase: gated on pipeline depth and read progress.
-    if !stage.out_edges.is_empty() && now >= stage.issue(stage.chunk, ii) + stage.depth {
-        let allowance = stage.write_acc.step();
+    if shape.writes() && now >= stage.issue(stage.chunk, ii) + shape.depth {
+        let allowance = shape.write_rate.step(&mut stage.write_acc);
         if allowance > 0 {
             // A stage cannot emit results for data it has not read: cap
             // cumulative output at the proportional share of input
@@ -381,25 +547,19 @@ pub(super) fn step_stage<IO: EdgeIo>(
             // elements per 5 cycles), delaying chunk completion past the
             // fluid finish time and overflowing exact-sized upstream
             // buffers in later chunks.
-            for slot in 0..stage.out_edges.len() {
-                let e = stage.out_edges[slot];
-                let remaining = stage.write_remaining[slot];
-                let want = allowance.min(remaining);
+            for slot in shape.out_slots() {
+                let e = layout.slot_edges[slot];
+                let want = allowance.min(remaining[slot]);
                 if IO::WATCH && want < allowance {
                     io.clamped();
                 }
                 if want == 0 {
                     continue;
                 }
-                let n = if stage.read_total > 0 {
-                    let written = edge_volume[e] - remaining;
-                    match read_share_cap(
-                        stage.read_done,
-                        stage.read_total,
-                        edge_volume[e],
-                        written,
-                        want,
-                    ) {
+                let n = if shape.read_total > 0 {
+                    let volume = layout.edge_volume[e];
+                    let written = volume - remaining[slot];
+                    match read_share_cap(stage.read_done, shape.read_total, volume, written, want) {
                         Cap::Full { slack } => {
                             if IO::WATCH {
                                 io.cap_slack(e, slack);
@@ -438,8 +598,8 @@ pub(super) fn step_stage<IO: EdgeIo>(
                     io.write(e, accepted);
                     acct.sram_dynamic_bytes += accepted * config.bytes_per_element;
                     acct.compute_elements += accepted;
-                    stage.write_remaining[slot] -= accepted;
-                    if matches!(stage.kind, OpKind::Source) {
+                    remaining[slot] -= accepted;
+                    if matches!(shape.kind, OpKind::Source) {
                         acct.dram_read_bytes += accepted * config.bytes_per_element;
                     }
                 }
@@ -453,24 +613,13 @@ pub(super) fn step_stage<IO: EdgeIo>(
         acct.starved = true;
     }
     // Chunk completion.
-    if stage.chunk_done() && stage.active(now, n_chunks, ii) {
+    if remaining[shape.slots()].iter().all(|&r| r == 0) && stage.active(now, n_chunks, ii) {
         stage.chunk += 1;
         if stage.chunk < n_chunks {
-            for slot in 0..stage.in_edges.len() {
-                stage.read_remaining[slot] = edge_volume[stage.in_edges[slot]];
-            }
-            let write_total = stage
-                .out_edges
-                .iter()
-                .map(|&e| edge_volume[e])
-                .max()
-                .unwrap_or(0);
-            for w in stage.write_remaining.iter_mut() {
-                *w = write_total;
-            }
+            layout.refill(shape, remaining);
             stage.read_done = 0;
-            stage.read_acc.reset();
-            stage.write_acc.reset();
+            stage.read_acc = 0;
+            stage.write_acc = 0;
         }
     }
     None
@@ -481,9 +630,9 @@ pub(super) fn step_stage<IO: EdgeIo>(
 /// sweep mid-cycle.
 #[allow(clippy::too_many_arguments)]
 fn sweep<IO: EdgeIo>(
+    layout: &EngineLayout,
     stages: &mut [StageState],
-    order: &[usize],
-    edge_volume: &[u64],
+    remaining: &mut [u64],
     io: &mut IO,
     now: u64,
     n_chunks: u64,
@@ -491,7 +640,7 @@ fn sweep<IO: EdgeIo>(
     config: &EngineConfig,
 ) -> (CycleAcct, Option<usize>) {
     let mut acct = CycleAcct::default();
-    for &si in order {
+    for &si in &layout.order {
         let stage = &mut stages[si];
         if !stage.active(now, n_chunks, ii) {
             continue;
@@ -500,7 +649,9 @@ fn sweep<IO: EdgeIo>(
             acct.starved = true;
             continue;
         }
-        if let Some(e) = step_stage(stage, io, now, n_chunks, ii, edge_volume, config, &mut acct) {
+        if let Some(e) = step_stage(
+            layout, si, stage, remaining, io, now, n_chunks, ii, config, &mut acct,
+        ) {
             return (acct, Some(e));
         }
     }
@@ -514,11 +665,9 @@ fn sweep<IO: EdgeIo>(
 #[derive(Debug, Default)]
 pub(super) struct Snapshot {
     now: u64,
-    stages: Vec<StageSnap>,
-    /// Every stage's remaining counts, read slots then write slots, in
-    /// stage order.
+    stages: Vec<StageState>,
     remaining: Vec<u64>,
-    edges: Vec<EdgeSnap>,
+    buffers: Vec<LineBuffer>,
     sram_dynamic_bytes: u64,
     compute_elements: u64,
     stall_cycles: u64,
@@ -526,45 +675,13 @@ pub(super) struct Snapshot {
     dram_read_bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct StageSnap {
-    chunk: u64,
-    read_acc: u64,
-    write_acc: u64,
-    read_done: u64,
-    slow_acc: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct EdgeSnap {
-    occupancy: u64,
-    reads: u64,
-    writes: u64,
-}
-
 impl Snapshot {
     /// Overwrites this snapshot with `state`'s current state.
-    pub(super) fn capture(&mut self, state: &EngineState) {
+    pub(super) fn capture(&mut self, state: &EngineState<'_>) {
         self.now = state.now;
-        self.stages.clear();
-        self.remaining.clear();
-        for s in &state.stages {
-            self.stages.push(StageSnap {
-                chunk: s.chunk,
-                read_acc: s.read_acc.acc,
-                write_acc: s.write_acc.acc,
-                read_done: s.read_done,
-                slow_acc: s.slow_acc,
-            });
-            self.remaining.extend_from_slice(&s.read_remaining);
-            self.remaining.extend_from_slice(&s.write_remaining);
-        }
-        self.edges.clear();
-        self.edges.extend(state.buffers.iter().map(|b| EdgeSnap {
-            occupancy: b.occupancy(),
-            reads: b.total_reads(),
-            writes: b.total_writes(),
-        }));
+        self.stages.clone_from(&state.stages);
+        self.remaining.clone_from(&state.remaining);
+        self.buffers.clone_from(&state.buffers);
         self.sram_dynamic_bytes = state.sram_dynamic_bytes;
         self.compute_elements = state.compute_elements;
         self.stall_cycles = state.stall_cycles;
@@ -588,21 +705,16 @@ fn spans_within(slack: u64, drift: u64) -> u64 {
     slack.checked_div(drift).unwrap_or(u64::MAX)
 }
 
-/// The full execution state shared by the cycle oracle, the
-/// event-driven engine, and (split apart, then merged back) the sharded
-/// engine.
-pub(super) struct EngineState {
+/// One run's mutable state over its design's [`EngineLayout`], shared by
+/// the cycle oracle, the event-driven engine, and (split apart, then
+/// merged back) the sharded engine.
+pub(super) struct EngineState<'l> {
+    pub(super) layout: &'l EngineLayout,
     pub(super) stages: Vec<StageState>,
+    /// Elements left this chunk on every slot of the layout.
+    pub(super) remaining: Vec<u64>,
     pub(super) buffers: Vec<LineBuffer>,
     pub(super) dram: DramModel,
-    /// Stage visit order within a cycle: consumers before producers, so
-    /// a same-cycle read frees the space a same-cycle write needs —
-    /// matching the fluid simultaneity the ILP occupancy model assumes.
-    pub(super) order: Vec<usize>,
-    /// Per-edge chunk volume (`W_P`), indexed like `buffers`.
-    pub(super) edge_volume: Vec<u64>,
-    /// Edges draining into sinks (everything they consume goes to DRAM).
-    sink_edges: Vec<usize>,
     pub(super) ii: u64,
     pub(super) n_chunks: u64,
     pub(super) now: u64,
@@ -618,128 +730,69 @@ pub(super) struct EngineState {
     pub(super) backoff: BackoffStats,
 }
 
-impl EngineState {
-    /// Builds the initial state from a compiled design.
+impl<'l> EngineState<'l> {
+    /// Builds a run's initial state: `layout` is the design's, and the
+    /// schedule and plan supply start cycles, buffer sizes and `II`.
     ///
     /// # Panics
     ///
-    /// Panics if the graph fails validation or the schedule's dimensions
-    /// do not match the graph.
+    /// Panics if the schedule's dimensions do not match the layout.
     pub(super) fn new(
-        graph: &DataflowGraph,
-        edges: &[EdgeInfo],
+        layout: &'l EngineLayout,
         schedule: &Schedule,
         plan: &MultiChunkPlan,
         config: &EngineConfig,
     ) -> Self {
-        graph.validate().expect("invalid graph");
-        assert_eq!(schedule.start_cycles.len(), graph.node_count());
-        assert_eq!(schedule.buffer_sizes.len(), edges.len());
-        let n_chunks = config.n_chunks.max(1);
-        let ii = plan.initiation_interval;
-
-        let buffers: Vec<LineBuffer> = schedule
-            .buffer_sizes
-            .iter()
-            .map(|&s| LineBuffer::new(s))
-            .collect();
+        assert_eq!(schedule.start_cycles.len(), layout.stages.len());
+        assert_eq!(schedule.buffer_sizes.len(), layout.edge_volume.len());
         let mut rng = match config.global_latency {
             GlobalLatencyModel::Variable { seed, .. } => SmallRng::seed_from_u64(seed),
             GlobalLatencyModel::Deterministic => SmallRng::seed_from_u64(0),
         };
-
-        let mut stages: Vec<StageState> = Vec::with_capacity(graph.node_count());
-        for (id, node) in graph.nodes() {
-            let in_edges: Vec<usize> = edges
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.consumer == id)
-                .map(|(i, _)| i)
-                .collect();
-            let out_edges: Vec<usize> = edges
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.producer == id)
-                .map(|(i, _)| i)
-                .collect();
-            // Rates, depths, and volumes come from the optimizer's
-            // per-edge constants ([`EdgeInfo`]) — the engine no longer
-            // re-derives them from Tbl. 1 parameters. All in-edges share
-            // the consumer's τ_in and all out-edges the producer's τ_out
-            // and depth, so the first edge of each list is authoritative.
-            let read_rate = in_edges
-                .first()
-                .map(|&e| edges[e].tau_in_rate)
-                .unwrap_or(Rate::ZERO);
-            let write_rate = out_edges
-                .first()
-                .map(|&e| edges[e].tau_out_rate)
-                .unwrap_or(Rate::ZERO);
-            let depth = out_edges.first().map(|&e| edges[e].depth_p).unwrap_or(0);
-            let read_total = in_edges.iter().map(|&e| edges[e].volume).max().unwrap_or(0);
-            let write_total = out_edges
-                .iter()
-                .map(|&e| edges[e].volume)
-                .max()
-                .unwrap_or(0);
-            // Variable latency: global stages run slower by a sampled
-            // factor per run (slow_num/slow_den gate active cycles).
-            let (slow_num, slow_den) = match (node.kind, config.global_latency) {
-                (OpKind::GlobalOp, GlobalLatencyModel::Variable { cv, .. }) => {
-                    // Sample factor ≥ 1 with the requested dispersion.
-                    let u: f64 = rng.random_range(0.0..1.0);
-                    let factor = 1.0 + cv * (-2.0 * (1.0 - u).max(1e-9).ln()).sqrt();
-                    ((1000.0 / factor) as u64, 1000u64)
-                }
-                _ => (1, 1),
-            };
-            stages.push(StageState {
-                kind: node.kind,
-                depth,
-                start: schedule.start_cycles[id.index()],
-                read_acc: RateAcc::new(read_rate),
-                write_acc: RateAcc::new(write_rate),
-                chunk: 0,
-                read_remaining: in_edges.iter().map(|&e| edges[e].volume).collect(),
-                write_remaining: vec![write_total; out_edges.len()],
-                in_edges,
-                out_edges,
-                read_done: 0,
-                read_total,
-                slow_num,
-                slow_den,
-                slow_acc: 0,
-            });
-        }
-
-        let mut order: Vec<usize> = graph
-            .topo_order()
-            .expect("validated")
-            .into_iter()
-            .map(|id| id.index())
-            .collect();
-        order.reverse();
-
-        let mut sink_edges = Vec::new();
-        for (id, n) in graph.nodes() {
-            if matches!(n.kind, OpKind::Sink) {
-                for (i, e) in edges.iter().enumerate() {
-                    if e.consumer == id {
-                        sink_edges.push(i);
+        let stages = layout
+            .stages
+            .iter()
+            .zip(&schedule.start_cycles)
+            .map(|(shape, &start)| {
+                // Variable latency: global stages run slower by a sampled
+                // factor per run (slow_num/slow_den gate active cycles).
+                let (slow_num, slow_den) = match (shape.kind, config.global_latency) {
+                    (OpKind::GlobalOp, GlobalLatencyModel::Variable { cv, .. }) => {
+                        // Sample factor ≥ 1 with the requested dispersion.
+                        let u: f64 = rng.random_range(0.0..1.0);
+                        let factor = 1.0 + cv * (-2.0 * (1.0 - u).max(1e-9).ln()).sqrt();
+                        ((1000.0 / factor) as u64, 1000u64)
                     }
+                    _ => (1, 1),
+                };
+                StageState {
+                    start,
+                    chunk: 0,
+                    read_acc: 0,
+                    write_acc: 0,
+                    read_done: 0,
+                    slow_num,
+                    slow_den,
+                    slow_acc: 0,
                 }
-            }
+            })
+            .collect();
+        let mut remaining = vec![0; layout.slot_edges.len()];
+        for shape in &layout.stages {
+            layout.refill(shape, &mut remaining);
         }
-
         EngineState {
+            layout,
             stages,
-            buffers,
+            remaining,
+            buffers: schedule
+                .buffer_sizes
+                .iter()
+                .map(|&s| LineBuffer::new(s))
+                .collect(),
             dram: DramModel::default(),
-            order,
-            edge_volume: edges.iter().map(|e| e.volume).collect(),
-            sink_edges,
-            ii,
-            n_chunks,
+            ii: plan.initiation_interval,
+            n_chunks: config.n_chunks.max(1),
             now: 0,
             stall_cycles: 0,
             starved_cycles: 0,
@@ -762,7 +815,41 @@ impl EngineState {
     /// least one stage was write-blocked (resp. read-starved) adds one to
     /// the respective counter, however many stages were affected.
     pub(super) fn step_cycle(&mut self, config: &EngineConfig) -> Step {
-        self.step(config, None)
+        let io = &mut SeqIo {
+            buffers: &mut self.buffers,
+        };
+        let swept = sweep(
+            self.layout,
+            &mut self.stages,
+            &mut self.remaining,
+            io,
+            self.now,
+            self.n_chunks,
+            self.ii,
+            config,
+        );
+        self.settle(swept)
+    }
+
+    /// [`EngineState::step_cycle`] that also says whether any transfer
+    /// of the cycle was cut below its rate accumulator's output.
+    pub(super) fn step_cycle_flagged(&mut self, config: &EngineConfig) -> (Step, bool) {
+        let io = &mut ClampIo {
+            buffers: &mut self.buffers,
+            clamped: false,
+        };
+        let swept = sweep(
+            self.layout,
+            &mut self.stages,
+            &mut self.remaining,
+            io,
+            self.now,
+            self.n_chunks,
+            self.ii,
+            config,
+        );
+        let clamped = io.clamped;
+        (self.settle(swept), clamped)
     }
 
     /// [`EngineState::step_cycle`] that also records into `watch` every
@@ -772,30 +859,26 @@ impl EngineState {
         config: &EngineConfig,
         watch: &mut SpanWatch,
     ) -> Step {
-        self.step(config, Some(watch))
+        let io = &mut WatchIo {
+            buffers: &mut self.buffers,
+            watch,
+        };
+        let swept = sweep(
+            self.layout,
+            &mut self.stages,
+            &mut self.remaining,
+            io,
+            self.now,
+            self.n_chunks,
+            self.ii,
+            config,
+        );
+        self.settle(swept)
     }
 
-    fn step(&mut self, config: &EngineConfig, watch: Option<&mut SpanWatch>) -> Step {
-        let EngineState {
-            stages,
-            buffers,
-            order,
-            edge_volume,
-            now,
-            n_chunks,
-            ii,
-            ..
-        } = self;
-        let (acct, overflow) = match watch {
-            None => {
-                let io = &mut SeqIo { buffers };
-                sweep(stages, order, edge_volume, io, *now, *n_chunks, *ii, config)
-            }
-            Some(watch) => {
-                let io = &mut WatchIo { buffers, watch };
-                sweep(stages, order, edge_volume, io, *now, *n_chunks, *ii, config)
-            }
-        };
+    /// Folds one sweep's tallies into the run and, unless a strict-mode
+    /// write overflowed, advances `now`.
+    fn settle(&mut self, (acct, overflow): (CycleAcct, Option<usize>)) -> Step {
         self.sram_dynamic_bytes += acct.sram_dynamic_bytes;
         self.compute_elements += acct.compute_elements;
         self.dram.read(acct.dram_read_bytes);
@@ -842,24 +925,20 @@ impl EngineState {
     /// buffer occupancies) identical — the steady-state periodicity
     /// certificate for whole initiation intervals.
     pub(super) fn is_period_shift_of(&self, prev: &Snapshot) -> bool {
-        let mut remaining = prev.remaining.iter();
         self.now == prev.now + self.ii
             && self.stages.iter().zip(&prev.stages).all(|(s, p)| {
                 s.chunk == p.chunk + 1
-                    && s.read_acc.acc == p.read_acc
-                    && s.write_acc.acc == p.write_acc
+                    && s.read_acc == p.read_acc
+                    && s.write_acc == p.write_acc
                     && s.read_done == p.read_done
                     && s.slow_acc == p.slow_acc
-                    && s.read_remaining
-                        .iter()
-                        .chain(&s.write_remaining)
-                        .all(|r| remaining.next() == Some(r))
             })
+            && self.remaining == prev.remaining
             && self
                 .buffers
                 .iter()
-                .zip(&prev.edges)
-                .all(|(b, p)| b.occupancy() == p.occupancy)
+                .zip(&prev.buffers)
+                .all(|(b, p)| b.occupancy() == p.occupancy())
     }
 
     /// Whole periods that can be skipped from `now` while the
@@ -893,20 +972,20 @@ impl EngineState {
     pub(super) fn micro_period(&self, limit: u64) -> Option<u64> {
         let mut period = 1u64;
         let mut moving = false;
-        for s in &self.stages {
+        for (s, shape) in self.stages.iter().zip(&self.layout.stages) {
             if !s.active(self.now, self.n_chunks, self.ii) {
                 continue;
             }
-            let reads = !s.in_edges.is_empty();
-            let writes = !s.out_edges.is_empty() && self.now >= s.issue(s.chunk, self.ii) + s.depth;
-            for (steps, acc) in [(reads, &s.read_acc), (writes, &s.write_acc)] {
+            let reads = shape.reads();
+            let writes = shape.writes() && self.now >= s.issue(s.chunk, self.ii) + shape.depth;
+            for (steps, rate) in [(reads, &shape.read_rate), (writes, &shape.write_rate)] {
                 if steps {
                     moving = true;
                     // A whole rate (period 1) or a period that already
                     // divides the running one leaves the lcm as it is.
-                    if acc.period > 1 && !period.is_multiple_of(acc.period) {
-                        period = (period / gcd(period, acc.period))
-                            .checked_mul(acc.period)
+                    if rate.period > 1 && !period.is_multiple_of(rate.period) {
+                        period = (period / gcd(period, rate.period))
+                            .checked_mul(rate.period)
                             .filter(|&lcm| lcm <= limit)?;
                     }
                 }
@@ -924,76 +1003,98 @@ impl EngineState {
         if let Some(periods) = self.now.checked_div(self.ii) {
             horizon = horizon.min((periods + 1) * self.ii);
         }
-        for s in &self.stages {
+        for (s, shape) in self.stages.iter().zip(&self.layout.stages) {
             if s.chunk >= self.n_chunks {
                 continue;
             }
             let issue = s.issue(s.chunk, self.ii);
             if self.now < issue {
                 horizon = horizon.min(issue);
-            } else if !s.out_edges.is_empty() && self.now < issue + s.depth {
-                horizon = horizon.min(issue + s.depth);
+            } else if shape.writes() && self.now < issue + shape.depth {
+                horizon = horizon.min(issue + shape.depth);
             }
         }
         horizon
     }
 
     /// How many more times the micro-period just stepped from `start`
-    /// provably repeats before `horizon`. Zero unless the span was
-    /// clamp-free (`watch`), changed no chunk index, and brought every
-    /// accumulator back to its starting phase. Then each repeat is the
-    /// same trace with remaining counts, `read_done` and occupancies
-    /// moved by the span's drift, and the repeat count is bounded so
-    /// that no remaining count runs out (which could complete a chunk),
-    /// every read keeps its full `need`, and every write keeps its free
-    /// space and read-share-cap margin.
-    pub(super) fn span_repeats(&self, start: &Snapshot, watch: &SpanWatch, horizon: u64) -> u64 {
+    /// provably repeats before `horizon`, and the stage whose remaining
+    /// count allows no more than that, if one does. Zero unless the span
+    /// was clamp-free (`watch`), changed no chunk index, and brought
+    /// every accumulator back to its starting phase. Then each repeat is
+    /// the same trace with remaining counts, `read_done` and occupancies
+    /// moved by the span's drift, and the repeat count is bounded so that
+    /// no remaining count runs out (which could complete a chunk), every
+    /// read keeps its full `need`, and every write keeps its free space
+    /// and read-share-cap margin.
+    ///
+    /// A stage named here has at most one span's drift left on that
+    /// count once the repeats are replayed, so no later span can repeat
+    /// until its chunk completes.
+    pub(super) fn span_repeats(
+        &self,
+        start: &Snapshot,
+        watch: &SpanWatch,
+        horizon: u64,
+    ) -> (u64, Option<usize>) {
         if watch.clamped {
-            return 0;
+            return (0, None);
         }
         let len = self.now - start.now;
         let mut k = horizon.saturating_sub(self.now) / len;
-        let mut remaining = start.remaining.iter();
-        for (s, p) in self.stages.iter().zip(&start.stages) {
+        // The tightest remaining-count bound and its stage.
+        let mut by_count = (u64::MAX, 0);
+        for (si, (s, p)) in self.stages.iter().zip(&start.stages).enumerate() {
             if s.chunk != p.chunk
-                || s.read_acc.acc != p.read_acc
-                || s.write_acc.acc != p.write_acc
+                || s.read_acc != p.read_acc
+                || s.write_acc != p.write_acc
                 || s.slow_acc != p.slow_acc
             {
-                return 0;
+                return (0, None);
             }
-            for &cur in s.read_remaining.iter().chain(&s.write_remaining) {
-                let was = *remaining.next().expect("same layout");
+            let shape = &self.layout.stages[si];
+            for slot in shape.slots() {
+                let (cur, was) = (self.remaining[slot], start.remaining[slot]);
                 // Keep at least one element outstanding, so no chunk
                 // completes inside the skipped span.
-                k = k.min(spans_within(cur.saturating_sub(1), was - cur));
+                let spans = spans_within(cur.saturating_sub(1), was - cur);
+                if spans < by_count.0 {
+                    by_count = (spans, si);
+                }
             }
             // Read-share cap margins, in the scaled units of
-            // `SpanWatch::cap_slack`: they move by `Δread_done · volume −
+            // `EdgeWatch::cap_slack`: they move by `Δread_done · volume −
             // Δwritten · read_total` per span.
-            if s.read_total > 0 {
-                let read_total = s.read_total as u128;
+            if shape.read_total > 0 {
+                let read_total = shape.read_total as u128;
                 let read_gain = (s.read_done - p.read_done) as u128;
-                for &e in &s.out_edges {
-                    let vol = self.edge_volume[e] as u128;
-                    let written = (self.buffers[e].total_writes() - start.edges[e].writes) as u128;
+                for slot in shape.out_slots() {
+                    let e = self.layout.slot_edges[slot];
+                    let vol = self.layout.edge_volume[e] as u128;
+                    let written =
+                        (self.buffers[e].total_writes() - start.buffers[e].total_writes()) as u128;
                     let (gain, loss) = (read_gain * vol, written * read_total);
                     if loss > gain {
-                        let spans = (watch.cap_slack[e] - 1) / (loss - gain);
+                        let spans = (watch.edges[e].cap_slack - 1) / (loss - gain);
                         k = k.min(spans.min(u64::MAX as u128) as u64);
                     }
                 }
             }
         }
-        for (e, (b, p)) in self.buffers.iter().zip(&start.edges).enumerate() {
-            let occupancy = b.occupancy();
-            if occupancy < p.occupancy {
-                k = k.min(spans_within(watch.read_slack[e], p.occupancy - occupancy));
+        for (e, (b, p)) in self.buffers.iter().zip(&start.buffers).enumerate() {
+            let (occupancy, was) = (b.occupancy(), p.occupancy());
+            let edge = &watch.edges[e];
+            k = k.min(if occupancy < was {
+                spans_within(edge.read_slack, was - occupancy)
             } else {
-                k = k.min(spans_within(watch.write_slack[e], occupancy - p.occupancy));
-            }
+                spans_within(edge.write_slack, occupancy - was)
+            });
         }
-        k
+        if by_count.0 <= k {
+            (by_count.0, Some(by_count.1))
+        } else {
+            (k, None)
+        }
     }
 
     /// Replays the span from `start` to now `k` more times in closed
@@ -1008,24 +1109,19 @@ impl EngineState {
     /// [`EngineState::span_repeats`].
     pub(super) fn fast_forward(&mut self, k: u64, start: &Snapshot, watch: Option<&SpanWatch>) {
         self.now = extrapolate(self.now, start.now, k);
-        let mut remaining = start.remaining.iter();
         for (s, p) in self.stages.iter_mut().zip(&start.stages) {
             s.chunk = extrapolate(s.chunk, p.chunk, k);
             s.read_done = extrapolate(s.read_done, p.read_done, k);
-            for r in s
-                .read_remaining
-                .iter_mut()
-                .chain(s.write_remaining.iter_mut())
-            {
-                *r = extrapolate(*r, *remaining.next().expect("same layout"), k);
-            }
         }
-        for (e, (b, p)) in self.buffers.iter_mut().zip(&start.edges).enumerate() {
-            let reads = k * (b.total_reads() - p.reads);
-            let writes = k * (b.total_writes() - p.writes);
-            let drift = b.occupancy().saturating_sub(p.occupancy);
+        for (r, &was) in self.remaining.iter_mut().zip(&start.remaining) {
+            *r = extrapolate(*r, was, k);
+        }
+        for (e, (b, p)) in self.buffers.iter_mut().zip(&start.buffers).enumerate() {
+            let reads = k * (b.total_reads() - p.total_reads());
+            let writes = k * (b.total_writes() - p.total_writes());
+            let drift = b.occupancy().saturating_sub(p.occupancy());
             let peak = match watch {
-                Some(watch) if drift > 0 => watch.peak[e] + k * drift,
+                Some(watch) if drift > 0 => watch.edges[e].peak + k * drift,
                 _ => {
                     debug_assert_eq!(drift, 0, "only a watched span may fill an edge");
                     0
@@ -1049,9 +1145,14 @@ impl EngineState {
         energy_model: &EnergyModel,
         config: &EngineConfig,
     ) -> RunReport {
+        // Everything a sink consumes goes to DRAM.
         let mut sink_bytes = 0u64;
-        for &e in &self.sink_edges {
-            sink_bytes += self.buffers[e].total_reads() * config.bytes_per_element;
+        for shape in &self.layout.stages {
+            if matches!(shape.kind, OpKind::Sink) {
+                for &e in &self.layout.slot_edges[shape.in_slots()] {
+                    sink_bytes += self.buffers[e].total_reads() * config.bytes_per_element;
+                }
+            }
         }
         self.dram.write(sink_bytes);
 

@@ -36,8 +36,8 @@ pub use cache::{CacheModel, CacheReport};
 pub use dram::DramModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::{
-    run, run_with, BackoffStats, BufferPolicy, EngineConfig, EngineMode, GlobalLatencyModel,
-    RingParams, RunReport,
+    run, run_with, BackoffStats, BufferPolicy, EngineConfig, EngineLayout, EngineMode,
+    GlobalLatencyModel, RingParams, RunReport,
 };
 pub use linebuffer::LineBuffer;
 pub use priors::{HwBudget, PriorReport, WorkloadProfile};
