@@ -92,12 +92,6 @@ pub enum OptimizeError {
     Solver(SolveError),
     /// The formulation is infeasible at the requested performance target.
     Infeasible,
-    /// The solved schedule failed occupancy validation on the given edge
-    /// (a formulation bug — should never happen).
-    ValidationFailed {
-        /// Index of the violating edge.
-        edge: usize,
-    },
 }
 
 impl std::fmt::Display for OptimizeError {
@@ -106,9 +100,6 @@ impl std::fmt::Display for OptimizeError {
             OptimizeError::Solver(e) => write!(f, "ILP solver failed: {e}"),
             OptimizeError::Infeasible => {
                 write!(f, "no schedule meets the performance target")
-            }
-            OptimizeError::ValidationFailed { edge } => {
-                write!(f, "schedule under-sizes line buffer {edge}")
             }
         }
     }
@@ -129,14 +120,14 @@ impl From<SolveError> for OptimizeError {
 /// term the continuous model cannot see. After solving, the schedule is
 /// certified against the exact discrete model and any marginally
 /// over-bound buffer is bumped to its certified peak, so the returned
-/// schedule always carries an accepting certificate.
+/// schedule always carries an accepting certificate: a certified peak
+/// does not depend on the bound it is checked against, so a bound raised
+/// to it is accepted without certifying again.
 ///
 /// # Errors
 ///
 /// Returns [`OptimizeError::Infeasible`] when no schedule meets the
-/// performance target, [`OptimizeError::Solver`] on solver failure, and
-/// [`OptimizeError::ValidationFailed`] if the exact occupancy check
-/// still rejects the certified solution (formulation bug guard).
+/// performance target and [`OptimizeError::Solver`] on solver failure.
 pub fn optimize(graph: &DataflowGraph, config: &OptimizeConfig) -> Result<Schedule, OptimizeError> {
     SOLVE_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
     let edges = edge_infos(graph, config.source_elements);
@@ -191,8 +182,5 @@ pub fn optimize(graph: &DataflowGraph, config: &OptimizeConfig) -> Result<Schedu
         }
     }
     schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
-    if let Err(edge) = validate_schedule(&edges, &schedule) {
-        return Err(OptimizeError::ValidationFailed { edge });
-    }
     Ok(schedule)
 }

@@ -29,10 +29,12 @@
 //!   cut below its rate repeats, drifting linearly, until an exact
 //!   integer bound on some remaining count, buffer margin or read-share
 //!   cap margin runs out), and whole initiation intervals once the
-//!   steady state repeats as a one-chunk shift. A span opens only where
-//!   it can skip: two periods fit before the next event, the plain step
-//!   before it was clamp-free, and no stage is draining the count that
-//!   cut the last replay short. Stepped cycles
+//!   steady state repeats as a one-chunk shift, up to and including the
+//!   period in which the stages furthest ahead finish, when each of them
+//!   is idle at its start and another stage outlasts it. A span opens
+//!   only where it can skip: two periods fit before the next event, the
+//!   plain step before it was clamp-free, and no stage is draining the
+//!   count that cut the last replay short. Stepped cycles
 //!   ([`RunReport::stepped_cycles`]) scale with spans × a few `P`, not
 //!   with cycles. Under [`GlobalLatencyModel::Deterministic`] it returns
 //!   **bit-identical** [`RunReport`]s to the oracle; under variable

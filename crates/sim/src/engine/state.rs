@@ -941,11 +941,31 @@ impl<'l> EngineState<'l> {
                 .all(|(b, p)| b.occupancy() == p.occupancy())
     }
 
-    /// Whole periods that can be skipped from `now` while the
-    /// steady-state trace provably repeats: every stage must still have
-    /// its current chunk *and* one more ahead of it (the final chunk's
-    /// completion breaks the shift symmetry), and the cycle budget must
-    /// not be crossed.
+    /// Whole periods that can be skipped from `now`, a boundary that
+    /// [`EngineState::is_period_shift_of`] certified, without crossing
+    /// the cycle budget. Each skipped period replays the certified one
+    /// with every chunk index one higher.
+    ///
+    /// While every stage has a later chunk ahead of the one it completes,
+    /// each refills as it did in the reference period, so `min(n_chunks −
+    /// 1 − chunk)` periods replay exactly. One period more has the stages
+    /// at that minimum finish their final chunk, which skips their refill.
+    /// The missing refill is dead state when such a stage has not started
+    /// its current chunk before the boundary (`start + chunk · II ≥ now`):
+    /// in the reference period it then sat idle from its completion to the
+    /// period's end, as a finished stage does, so no other stage can tell
+    /// the two apart. The extra period is refused
+    ///
+    /// - when a finishing stage started its chunk before the boundary: in
+    ///   the reference period it worked on its next chunk, which a
+    ///   finished stage never does;
+    /// - when no stage is still incomplete after it: the run then ends
+    ///   inside the period, at its last completion, not at the period's
+    ///   end.
+    ///
+    /// After a skip that takes it, the finished stages' remaining counts
+    /// still hold the refill; the caller clears them, as the oracle leaves
+    /// them.
     pub(super) fn skippable_periods(&self, max_cycles: u64) -> u64 {
         if self.ii == 0 {
             // A degenerate hand-built plan (plan_multi_chunk never emits
@@ -954,14 +974,33 @@ impl<'l> EngineState<'l> {
             // indices from `now`. Step such runs cycle by cycle.
             return 0;
         }
-        let by_chunks = self
+        if self.stages.iter().any(|s| s.chunk >= self.n_chunks) {
+            // A finished stage completed its final chunk in the reference
+            // period, which no later period repeats.
+            return 0;
+        }
+        let ahead = |s: &StageState| self.n_chunks - 1 - s.chunk;
+        let by_chunks = self.stages.iter().map(ahead).min().unwrap_or(0);
+        let finishing_idle = self
             .stages
             .iter()
-            .map(|s| (self.n_chunks - 1).saturating_sub(s.chunk))
-            .min()
-            .unwrap_or(0);
+            .filter(|s| ahead(s) == by_chunks)
+            .all(|s| s.issue(s.chunk, self.ii) >= self.now);
+        let one_left = self.stages.iter().any(|s| ahead(s) > by_chunks);
+        let extra = finishing_idle && one_left;
         let by_budget = max_cycles.saturating_sub(self.now) / self.ii;
-        by_chunks.min(by_budget)
+        (by_chunks + u64::from(extra)).min(by_budget)
+    }
+
+    /// Zeroes the remaining counts of every finished stage, as the oracle
+    /// leaves them: a whole-period skip through a stage's final chunk
+    /// replays its refill (see [`EngineState::skippable_periods`]).
+    pub(super) fn clear_finished(&mut self) {
+        for (s, shape) in self.stages.iter().zip(&self.layout.stages) {
+            if s.chunk >= self.n_chunks {
+                self.remaining[shape.slots()].fill(0);
+            }
+        }
     }
 
     /// The micro-period of the stages that move right now: the lcm of
@@ -1254,5 +1293,74 @@ mod tests {
         // Both outcomes are exercised, as is a zero cut.
         assert!(cuts > 0 && fulls > 0);
         assert_eq!(read_share_cap(0, 5, 5, 0, 1), Cap::Cut(0));
+    }
+
+    /// source → map → sink at `II = 100`, with start cycles and chunk
+    /// indices set by hand at a boundary `now`.
+    fn periods_at(
+        now: u64,
+        starts: [u64; 3],
+        chunks: [u64; 3],
+        n_chunks: u64,
+        max_cycles: u64,
+    ) -> u64 {
+        use streamgrid_dataflow::Shape;
+        use streamgrid_optimizer::edge_infos;
+
+        let mut g = DataflowGraph::new();
+        let src = g.source("src", Shape::new(1, 1), 1);
+        let map = g.map("map", Shape::new(1, 1), Shape::new(1, 1), 2);
+        let sink = g.sink("sink", Shape::new(1, 1), 1);
+        g.connect(src, map);
+        g.connect(map, sink);
+        let layout = EngineLayout::new(&g, &edge_infos(&g, 40));
+        let schedule = Schedule {
+            start_cycles: starts.to_vec(),
+            buffer_sizes: vec![40; 2],
+            makespan: 0,
+            total_buffer_elements: 80,
+            constraint_count: 0,
+            lp_iterations: 0,
+            solver_nodes: 0,
+        };
+        let plan = MultiChunkPlan {
+            initiation_interval: 100,
+            bubbles: vec![0; 3],
+            busy: vec![40; 3],
+        };
+        let config = EngineConfig {
+            n_chunks,
+            ..EngineConfig::default()
+        };
+        let mut state = EngineState::new(&layout, &schedule, &plan, &config);
+        state.now = now;
+        for (s, chunk) in state.stages.iter_mut().zip(chunks) {
+            s.chunk = chunk;
+        }
+        state.skippable_periods(max_cycles)
+    }
+
+    #[test]
+    fn the_final_period_skips_only_when_its_finishers_idle_and_one_stage_remains() {
+        const NO_LIMIT: u64 = u64::MAX;
+        // Source and map finish in the extra period, both idle at the
+        // boundary (their chunks issue at 200 and 210); the sink has a
+        // chunk left after it.
+        assert_eq!(periods_at(200, [0, 10, 20], [2, 2, 1], 4, NO_LIMIT), 2);
+        // The budget still caps the skip: 399 leaves room for one period.
+        assert_eq!(periods_at(200, [0, 10, 20], [2, 2, 1], 4, 399), 1);
+        assert_eq!(periods_at(200, [0, 10, 20], [2, 2, 1], 4, 400), 2);
+        // The map finishes in the extra period but started its chunk at
+        // 100, before the boundary: in the reference period it worked
+        // on the chunk after, which a finished stage never does.
+        assert_eq!(periods_at(200, [150, 0, 20], [1, 1, 0], 3, NO_LIMIT), 1);
+        // The same chunks with the map's chunk issuing at the boundary.
+        assert_eq!(periods_at(200, [150, 100, 20], [1, 1, 0], 3, NO_LIMIT), 2);
+        // Every stage finishes in the extra period: the run ends inside
+        // it, so only the periods before it skip.
+        assert_eq!(periods_at(200, [0, 10, 20], [2, 2, 2], 4, NO_LIMIT), 1);
+        assert_eq!(periods_at(300, [0, 10, 20], [3, 3, 3], 4, NO_LIMIT), 0);
+        // A stage that already finished ends every skip.
+        assert_eq!(periods_at(400, [0, 10, 20], [4, 3, 2], 4, NO_LIMIT), 0);
     }
 }

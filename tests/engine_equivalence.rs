@@ -16,7 +16,7 @@ use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
-use streamgrid_sim::{run_with, BufferPolicy, EnergyModel, EngineConfig, EngineMode};
+use streamgrid_sim::{run_with, BufferPolicy, EnergyModel, EngineConfig, EngineLayout, EngineMode};
 
 /// Shard counts the sharded engine is swept over: degenerate (1),
 /// small multi-shard splits (2, 4), and more shards than some designs
@@ -220,6 +220,63 @@ fn build_pipeline(stages: &[StageKind], skip_from: usize) -> DataflowGraph {
         }
     }
     g
+}
+
+/// Elements per chunk in the stretched-period sweep: from chunks the ×4
+/// reduction and the stencil barely fill to the 300 of the presets.
+const STRETCH_SIZES: [u64; 7] = [2, 4, 10, 30, 64, 150, 300];
+
+/// Cycles added to the planned initiation interval.
+const II_STRETCHES: [u64; 6] = [0, 1, 2, 5, 50, 500];
+
+/// Small chains (source → one map, ×3 map, ×4 reduction or 3-wide
+/// stencil → sink) under `plan_multi_chunk`'s plan with its `II`
+/// stretched. A stretch leaves every stage idle at each boundary, so
+/// every stage could finish its final chunk inside one more skipped
+/// period; the whole-period skip must refuse that period, or the event
+/// engine's run ends at the period's end instead of at its last
+/// completion. 11,088 runs, each on both engines.
+#[test]
+fn stretched_periods_end_where_the_oracle_ends() {
+    let ops: [fn(u32) -> StageKind; 4] = [
+        |depth| StageKind::Map { shape: 1, depth },
+        |depth| StageKind::Map { shape: 3, depth },
+        |depth| StageKind::Reduction { factor: 4, depth },
+        |depth| StageKind::Stencil { reuse: 3, depth },
+    ];
+    let energy = EnergyModel::default();
+    for op in ops {
+        for depth in 0..=5 {
+            let stage = op(depth);
+            // A single stage leaves no room for a fan-out edge.
+            let g = build_pipeline(std::slice::from_ref(&stage), 0);
+            for elements in STRETCH_SIZES {
+                let edges = edge_infos(&g, elements);
+                let layout = EngineLayout::new(&g, &edges);
+                let schedule = optimize(&g, &OptimizeConfig::new(elements)).expect("chain solves");
+                let planned = plan_multi_chunk(&g, &edges);
+                for stretch in II_STRETCHES {
+                    let mut plan = planned.clone();
+                    plan.initiation_interval += stretch;
+                    for n_chunks in 1..=11 {
+                        let config = EngineConfig {
+                            n_chunks,
+                            ..EngineConfig::default()
+                        };
+                        let run = |mode| layout.run(&schedule, &plan, &energy, &config, mode);
+                        let oracle = run(EngineMode::CycleAccurate);
+                        assert!(!oracle.truncated, "{stage:?} at {elements} elements");
+                        assert_eq!(
+                            oracle,
+                            run(EngineMode::EventDriven),
+                            "{stage:?} at {elements} elements, {n_chunks} chunks, \
+                             II stretched by {stretch}: engines diverged"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// How an adversarial case breaks its ILP schedule, so that clamps bind

@@ -25,38 +25,38 @@ type Ceiling = (&'static str, u64, u64);
 
 #[rustfmt::skip]
 const CEILINGS: [Ceiling; 32] = [
-    ("classification",    1200, 122),
-    ("classification",    2400, 130),
-    ("classification",    3600, 134),
-    ("classification",    1240, 118),
-    ("classification",    2440, 134),
-    ("classification",    3640, 130),
-    ("classification",    4608, 130),
-    ("classification",    5120, 134),
-    ("neural_rendering",  1200, 129),
-    ("neural_rendering",  2400, 130),
-    ("neural_rendering",  3600, 129),
-    ("neural_rendering",  1240, 134),
-    ("neural_rendering",  2440, 133),
-    ("neural_rendering",  3640, 134),
-    ("neural_rendering",  4608, 130),
-    ("neural_rendering",  5120, 130),
-    ("registration",      1200, 426),
-    ("registration",      2400, 624),
-    ("registration",      3600, 643),
-    ("registration",      1240, 467),
-    ("registration",      2440, 600),
-    ("registration",      3640, 644),
-    ("registration",      4608, 644),
-    ("registration",      5120, 626),
-    ("segmentation",      1200, 190),
-    ("segmentation",      2400, 196),
-    ("segmentation",      3600, 190),
-    ("segmentation",      1240, 196),
-    ("segmentation",      2440, 190),
-    ("segmentation",      3640, 196),
-    ("segmentation",      4608, 196),
-    ("segmentation",      5120, 190),
+    ("classification",    1200, 95),
+    ("classification",    2400, 101),
+    ("classification",    3600, 104),
+    ("classification",    1240, 92),
+    ("classification",    2440, 104),
+    ("classification",    3640, 101),
+    ("classification",    4608, 101),
+    ("classification",    5120, 104),
+    ("neural_rendering",  1200, 84),
+    ("neural_rendering",  2400, 85),
+    ("neural_rendering",  3600, 84),
+    ("neural_rendering",  1240, 87),
+    ("neural_rendering",  2440, 86),
+    ("neural_rendering",  3640, 87),
+    ("neural_rendering",  4608, 85),
+    ("neural_rendering",  5120, 85),
+    ("registration",      1200, 268),
+    ("registration",      2400, 378),
+    ("registration",      3600, 375),
+    ("registration",      1240, 294),
+    ("registration",      2440, 361),
+    ("registration",      3640, 383),
+    ("registration",      4608, 376),
+    ("registration",      5120, 372),
+    ("segmentation",      1200, 129),
+    ("segmentation",      2400, 133),
+    ("segmentation",      3600, 129),
+    ("segmentation",      1240, 133),
+    ("segmentation",      2440, 129),
+    ("segmentation",      3640, 133),
+    ("segmentation",      4608, 133),
+    ("segmentation",      5120, 129),
 ];
 
 #[test]
