@@ -24,8 +24,10 @@
 //! [`Scene::raycast`], for three reasons:
 //!
 //! - Each (ray, primitive) test runs the same f32 operations, and the
-//!   range noise is drawn in the same order: one draw per return,
-//!   beam-major, in azimuth order.
+//!   range noise is drawn in the same order: one sample per return,
+//!   beam-major, in azimuth order, from one generator seeded alike. A
+//!   sample may take more than one of the generator's words (see
+//!   below), but it takes the same ones in both scanners.
 //! - The nearest hit is a minimum under a strict `<`, which does not
 //!   depend on the order the candidates are tested in.
 //! - The binning is conservative. A hit point lies, in xy, inside the box
@@ -45,10 +47,19 @@
 //! A beam at or past vertical does not point along its column's heading,
 //! so when a config has one, and under a non-finite `yaw`, every
 //! primitive goes into every column.
+//!
+//! # Range noise
+//!
+//! Each return's range gets Gaussian noise of `range_noise` sigma,
+//! added after the hit test, so noise moves coordinates but never
+//! whether a ray returns. The standard-normal samples come from the
+//! 128-layer ziggurat of Marsaglia and Tsang (2000): one 64-bit word
+//! gives about 97 % of them with a table lookup, a compare and a
+//! multiply, and only the rest pay for `exp` or `ln` and further words.
 
 use std::ops::Range;
 
-use rand::RngExt;
+use rand::{RngCore, RngExt};
 use serde::{Deserialize, Serialize};
 
 use crate::aabb::Aabb;
@@ -483,11 +494,98 @@ pub fn scan(scene: &Scene, config: &LidarConfig, pose: Point3, yaw: f32, seed: u
     }
 }
 
-/// Standard-normal sample via Box–Muller.
-fn gauss<R: RngExt>(rng: &mut R) -> f32 {
-    let u1: f32 = rng.random_range(1e-7..1.0f32);
-    let u2: f32 = rng.random_range(0.0..1.0f32);
-    (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
+/// Where the ziggurat's base layer meets its tail: the right edge of the
+/// widest layer.
+const ZIGGURAT_R: f64 = 3.442_619_855_899;
+
+/// Area of each of the ziggurat's 128 layers under `exp(-x²/2)`.
+const ZIGGURAT_V: f64 = 9.912_563_035_262_17e-3;
+
+/// The 128-layer ziggurat of Marsaglia and Tsang (2000) over the half
+/// density `f(x) = exp(-x²/2)`. Layer `i ≥ 1` spans `[0, x_i]` between
+/// heights `f(x_i)` and `f(x_{i-1})`, with `x_127 = R` and `x_0 = 0`;
+/// layer 0 is the strip under `f(R)` plus the tail beyond `R`.
+struct Ziggurat {
+    /// A draw whose `|hz|` is below `k[i]` lies under the curve in layer
+    /// `i`: `x_{i-1} / x_i · 2³¹` (layer 0: `R` over the strip's width;
+    /// the top layer: 0, since none of it does).
+    k: [u32; 128],
+    /// Scales `hz` to `x`: `x_i / 2³¹` (layer 0: the strip's width, `V /
+    /// f(R)`, over 2³¹).
+    w: [f64; 128],
+    /// `f(x_i)`, with `f[0] = 1` as the top layer's upper edge.
+    f: [f64; 128],
+}
+
+impl Ziggurat {
+    /// The tables, built on first use.
+    fn get() -> &'static Ziggurat {
+        static TABLES: std::sync::OnceLock<Ziggurat> = std::sync::OnceLock::new();
+        TABLES.get_or_init(Ziggurat::build)
+    }
+
+    fn build() -> Ziggurat {
+        const M: f64 = 2_147_483_648.0;
+        let density = |x: f64| (-0.5 * x * x).exp();
+        let mut z = Ziggurat {
+            k: [0; 128],
+            w: [0.0; 128],
+            f: [0.0; 128],
+        };
+        let strip = ZIGGURAT_V / density(ZIGGURAT_R);
+        z.k[0] = (ZIGGURAT_R / strip * M) as u32;
+        z.w[0] = strip / M;
+        z.f[0] = 1.0;
+        z.w[127] = ZIGGURAT_R / M;
+        z.f[127] = density(ZIGGURAT_R);
+        let mut outer = ZIGGURAT_R;
+        for i in (1..127).rev() {
+            // Layer i + 1 has area V: x_{i+1} · (f(x_i) − f(x_{i+1})).
+            let x = (-2.0 * (ZIGGURAT_V / outer + density(outer)).ln()).sqrt();
+            z.k[i + 1] = (x / outer * M) as u32;
+            z.w[i] = x / M;
+            z.f[i] = density(x);
+            outer = x;
+        }
+        z
+    }
+}
+
+/// A uniform draw in (0, 1], so that its `ln` is finite.
+fn open_unit<R: RngCore>(rng: &mut R) -> f64 {
+    ((rng.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Standard-normal sample from the [`Ziggurat`]. One 64-bit word gives
+/// the layer (its low 7 bits) and a signed 32-bit `hz` (its high 32
+/// bits), so the two share no bits. About 97 % of samples are `hz`
+/// scaled, from inside a layer's rectangle under the curve; only the top
+/// layer, the wedges beside the curve and the tail beyond `R` take `exp`
+/// or `ln`, and a rejected wedge point draws again.
+fn gauss<R: RngCore>(rng: &mut R) -> f32 {
+    let z = Ziggurat::get();
+    loop {
+        let bits = rng.next_u64();
+        let i = (bits & 127) as usize;
+        let hz = (bits >> 32) as i32;
+        let x = f64::from(hz) * z.w[i];
+        if hz.unsigned_abs() < z.k[i] {
+            return x as f32;
+        }
+        if i == 0 {
+            // The tail beyond R, by Marsaglia's exponential rejection.
+            loop {
+                let x = -open_unit(rng).ln() / ZIGGURAT_R;
+                let y = -open_unit(rng).ln();
+                if y + y >= x * x {
+                    return (ZIGGURAT_R + x).copysign(f64::from(hz)) as f32;
+                }
+            }
+        }
+        if z.f[i] + open_unit(rng) * (z.f[i - 1] - z.f[i]) < (-0.5 * x * x).exp() {
+            return x as f32;
+        }
+    }
 }
 
 /// A straight-line-with-turns ground-truth trajectory for odometry
@@ -633,6 +731,57 @@ mod tests {
             }
         }
         assert!(near as f32 / total as f32 > 0.8, "locality {near}/{total}");
+    }
+
+    /// 10⁶ samples from a fixed seed: every moment and share lies within
+    /// at least 5σ of the standard normal's. Only the tail path returns
+    /// `|z| ≥ R`, so a wedge or tail that accepts or rejects wrongly fails
+    /// here, not only in a digest.
+    #[test]
+    fn gauss_draws_a_standard_normal() {
+        const N: usize = 1_000_000;
+        let r = ZIGGURAT_R as f32;
+        let mut rng = crate::datasets::rng(0x9a55);
+        let mut sums = [0.0f64; 3];
+        let (mut within_one, mut positive) = (0usize, 0usize);
+        let mut tail = Vec::new();
+        for _ in 0..N {
+            let z = gauss(&mut rng);
+            let x = f64::from(z);
+            sums[0] += x;
+            sums[1] += x * x;
+            sums[2] += x * x * x * x;
+            within_one += usize::from(z.abs() < 1.0);
+            positive += usize::from(z > 0.0);
+            if z.abs() >= r {
+                tail.push(z);
+            }
+        }
+        let near = |what: &str, got: f64, want: f64, within: f64| {
+            assert!(
+                (got - want).abs() < within,
+                "{what}: {got}, want {want} ± {within}"
+            );
+        };
+        let n = N as f64;
+        let [mean, second, fourth] = sums.map(|s| s / n);
+        // Standard errors: 0.001, 0.0014 and 0.0098 for the moments,
+        // 0.0005 for each share. Dropping every wedge point leaves the
+        // fourth moment at 2.92; accepting every one, the variance at
+        // 1.012.
+        near("mean", mean, 0.0, 0.005);
+        near("variance", second - mean * mean, 1.0, 0.01);
+        near("fourth moment", fourth, 3.0, 0.05);
+        near("P(|z| < 1)", within_one as f64 / n, 0.6827, 0.003);
+        near("positive share", positive as f64 / n, 0.5, 0.003);
+        // Beyond R: 5.76e-4 of samples (σ ≈ 24), half of them negative
+        // (σ ≈ 0.021) and |z| − R averaging 0.255 (σ ≈ 0.010).
+        let count = tail.len() as f64;
+        near("samples beyond R", count, 576.0, 150.0);
+        let up = tail.iter().filter(|&&z| z > 0.0).count() as f64 / count;
+        near("positive share beyond R", up, 0.5, 0.11);
+        let excess = tail.iter().map(|&z| f64::from(z.abs() - r)).sum::<f64>() / count;
+        near("mean excess beyond R", excess, 0.255, 0.05);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use streamgrid_core::framework::{ExecMode, ExecuteOptions, StreamGrid};
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
-use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
+use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig, Schedule};
 use streamgrid_sim::{run_with, BufferPolicy, EnergyModel, EngineConfig, EngineLayout, EngineMode};
 
 /// Shard counts the sharded engine is swept over: degenerate (1),
@@ -298,6 +298,103 @@ fn arb_sabotage() -> impl Strategy<Value = Sabotage> {
     ]
 }
 
+impl Sabotage {
+    /// Breaks `schedule`, the solved schedule of a design with `n_edges`
+    /// edges.
+    fn apply(&self, schedule: &mut Schedule, n_edges: usize) {
+        match *self {
+            Sabotage::Shrink { edge, quarters } => {
+                let size = &mut schedule.buffer_sizes[edge % n_edges];
+                *size = (*size * quarters / 4).max(1);
+            }
+            Sabotage::EarlyStart { stage } => {
+                // Any stage but the source (node 0) consumes something.
+                let consumer = 1 + stage % (schedule.start_cycles.len() - 1);
+                schedule.start_cycles[consumer] = 0;
+            }
+        }
+    }
+}
+
+/// Random designs in the seeded sweep below.
+const STRETCHED_DESIGNS: u32 = 1200;
+
+/// Random pipelines from [`arb_stage`] (the proptests' generator), clean
+/// or sabotaged, strict or elastic, under `plan_multi_chunk`'s plan with
+/// its `II` stretched by 0–40 cycles: 4–300 elements per chunk, 1–16
+/// chunks, each run at its full budget, three truncated budgets and one
+/// that ends on an `II` boundary (5,950 runs, each on both engines).
+/// Besides the refusal the small chains above reach, these designs reach
+/// the whole-period skip's other one: a stage that would finish its
+/// final chunk in the extra period had started that chunk before the
+/// boundary. Without that refusal the event engine diverges on a few of
+/// these runs, while every other test here passes.
+#[test]
+fn stretched_random_designs_run_identically() {
+    let mut runner = TestRunner::deterministic("stretched_random_designs_run_identically");
+    let sabotages = prop_oneof![Just(None), arb_sabotage().prop_map(Some)];
+    let energy = EnergyModel::default();
+    for design in 0..STRETCHED_DESIGNS {
+        let stages = prop::collection::vec(arb_stage(), 1..6).sample(&mut runner);
+        let g = build_pipeline(&stages, (0usize..6).sample(&mut runner));
+        let elements = (4u64..301).sample(&mut runner);
+        let n_chunks = (1u64..17).sample(&mut runner);
+        let stretch = (0u64..41).sample(&mut runner);
+        let sabotage = sabotages.sample(&mut runner);
+        let buffer_policy = if (0u8..2).sample(&mut runner) == 1 {
+            BufferPolicy::Elastic
+        } else {
+            BufferPolicy::Strict
+        };
+        if g.validate().is_err() {
+            continue;
+        }
+        let edges = edge_infos(&g, elements);
+        if edges.iter().any(|e| e.volume == 0) {
+            continue;
+        }
+        let layout = EngineLayout::new(&g, &edges);
+        let mut schedule = optimize(&g, &OptimizeConfig::new(elements)).expect("design solves");
+        if let Some(sabotage) = &sabotage {
+            sabotage.apply(&mut schedule, edges.len());
+        }
+        let mut plan = plan_multi_chunk(&g, &edges);
+        plan.initiation_interval += stretch;
+        let ii = plan.initiation_interval;
+        let full = EngineConfig {
+            n_chunks,
+            buffer_policy,
+            // Generous, yet it ends a run stalled for good.
+            max_cycles: 4 * plan.total_cycles(schedule.makespan, n_chunks) + 1000,
+            ..EngineConfig::default()
+        };
+        let run = |max_cycles, mode| {
+            let config = EngineConfig { max_cycles, ..full };
+            layout.run(&schedule, &plan, &energy, &config, mode)
+        };
+        let oracle = run(full.max_cycles, EngineMode::CycleAccurate);
+        let cycles = oracle.cycles.max(2);
+        let boundaries = (cycles / ii).max(1);
+        let truncated = [
+            (1..cycles).sample(&mut runner),
+            (1..cycles).sample(&mut runner),
+            (1..cycles).sample(&mut runner),
+            ii * (1..boundaries + 1).sample(&mut runner),
+        ];
+        let mut cases = vec![(full.max_cycles, oracle)];
+        cases.extend(truncated.map(|budget| (budget, run(budget, EngineMode::CycleAccurate))));
+        for (max_cycles, oracle) in cases {
+            assert_eq!(
+                oracle,
+                run(max_cycles, EngineMode::EventDriven),
+                "design {design}: {stages:?}, {elements} elements, {n_chunks} chunks, \
+                 II stretched by {stretch} to {ii}, {sabotage:?}, {buffer_policy:?}, \
+                 budget {max_cycles}: engines diverged"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -324,17 +421,7 @@ proptest! {
             Ok(s) => s,
             Err(e) => return Err(TestCaseError::fail(format!("optimize failed: {e}"))),
         };
-        match sabotage {
-            Sabotage::Shrink { edge, quarters } => {
-                let size = &mut schedule.buffer_sizes[edge % edges.len()];
-                *size = (*size * quarters / 4).max(1);
-            }
-            Sabotage::EarlyStart { stage } => {
-                // Any stage but the source (node 0) consumes something.
-                let consumer = 1 + stage % (schedule.start_cycles.len() - 1);
-                schedule.start_cycles[consumer] = 0;
-            }
-        }
+        sabotage.apply(&mut schedule, edges.len());
         let plan = plan_multi_chunk(&g, &edges);
         let energy = EnergyModel::default();
         let policy = if elastic == 1 { BufferPolicy::Elastic } else { BufferPolicy::Strict };

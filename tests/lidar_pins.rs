@@ -1,12 +1,12 @@
 //! Pins LiDAR sweeps bit for bit.
 //!
-//! Every LiDAR-fed test, example, figure binary and modelled benchmark
-//! metric starts from `datasets::lidar::scan`, so a scanner change meant
-//! as a pure speed-up must return the same sweeps to the last bit. These
-//! tests fold each sweep (its point count, the `to_bits` of every
-//! coordinate, its ring ids and its `sensor_origin`) into an FNV-1a
-//! digest and compare it with constants recorded from the brute-force
-//! scanner, which cast every ray against every box and pole:
+//! Every LiDAR-fed test, example and figure binary starts from
+//! `datasets::lidar::scan`, so a scanner change meant as a pure speed-up
+//! must return the same sweeps to the last bit. These tests fold each
+//! sweep (its point count, the `to_bits` of every coordinate, its ring
+//! ids and its `sensor_origin`) into an FNV-1a digest and compare it with
+//! constants recorded from the brute-force scanner, which casts every ray
+//! against every box and pole:
 //!
 //! - the `lidar-stream` benchmark drive: 512 sweeps of 6 × 300 rays
 //!   through `Scene::urban(1, 40.0, 14, 8)`, noise seed 1;
@@ -19,6 +19,14 @@
 //! The point totals are pinned alongside each digest, so a failure says
 //! whether returns appeared or vanished. On a mismatch the message
 //! prints the recomputed table.
+//!
+//! The digests were re-recorded on purpose once, when the range noise
+//! moved from Box–Muller to the ziggurat sampler: every sample changed,
+//! so every coordinate moved, while every point total stayed, because
+//! noise perturbs a return's range only after the hit test. The totals,
+//! and with them every frame size, bucket, design and modelled benchmark
+//! metric, did not move. Re-record only for a deliberate change to what
+//! the scanner models, never for a speed-up.
 
 use std::f32::consts::PI;
 
@@ -90,8 +98,8 @@ fn check(pinned: &[Pin], computed: &[(String, u64, u64)]) {
 
 #[rustfmt::skip]
 const STREAM_PINS: [Pin; 2] = [
-    ("lidar-stream/512",         787503, 0xfdc2ece1b04134b2),
-    ("kitti_like/7/8",            84626, 0xf5640e1a57a5cba0),
+    ("lidar-stream/512",         787503, 0xa186c9585dd89d03),
+    ("kitti_like/7/8",            84626, 0x18246be4d3b97520),
 ];
 
 #[test]
@@ -143,21 +151,21 @@ fn lidar(beams: usize, azimuth_steps: usize) -> LidarConfig {
 
 #[rustfmt::skip]
 const EDGE_PINS: [Pin; 15] = [
-    ("sensor_inside_box",          2880, 0x336c0a017e244d82),
-    ("sensor_above_box",           2450, 0x89c69636f210476f),
-    ("sensor_inside_pole",         2452, 0x1acd6473a289805b),
-    ("sensor_near_pole",           2546, 0x6a577161aec7af2c),
-    ("box_across_pi",              2494, 0x6684e10bda230895),
-    ("box_across_first_column",    2488, 0x2443b9b3b746f508),
-    ("one_beam",                    360, 0x777b068d508844c4),
-    ("azimuth_steps_1",               4, 0x8ade6d5dea6d741a),
-    ("azimuth_steps_2",               9, 0xd96a47d4386f224c),
-    ("azimuth_steps_3",              14, 0xfcc46b6d7d8ab951),
-    ("yaw_-pi",                    1640, 0xc3e7ea45eecd32b4),
-    ("yaw_pi",                     1640, 0x2c3db0bcab8ea660),
-    ("yaw_1e6",                    1640, 0x65ff7b2997f3077f),
-    ("yaw_-2e6",                   1632, 0x5cc6490e0e0ba076),
-    ("yaw_1e7",                    1634, 0xa05f6e9a349037fe),
+    ("sensor_inside_box",          2880, 0xad0418b3af722c52),
+    ("sensor_above_box",           2450, 0x103487a9c2b7306e),
+    ("sensor_inside_pole",         2452, 0xb799472fa49ba15f),
+    ("sensor_near_pole",           2546, 0x1e2fc0776411e123),
+    ("box_across_pi",              2494, 0xcecd62a0f8bdb7f9),
+    ("box_across_first_column",    2488, 0x7fe8cfd717acd11b),
+    ("one_beam",                    360, 0x2da89d51641ee6ef),
+    ("azimuth_steps_1",               4, 0x96537e16216706c9),
+    ("azimuth_steps_2",               9, 0xa57f8230198b78ea),
+    ("azimuth_steps_3",              14, 0x969b5944616666b6),
+    ("yaw_-pi",                    1640, 0x9df89a3245b4dafa),
+    ("yaw_pi",                     1640, 0x2372ad7074ff7e2a),
+    ("yaw_1e6",                    1640, 0x86df27e17b06226f),
+    ("yaw_-2e6",                   1632, 0x2e72fdab8a103338),
+    ("yaw_1e7",                    1634, 0x7deb7b656cf1e0ed),
 ];
 
 #[test]
