@@ -2,15 +2,13 @@
 //!
 //! Every binary under `src/bin/` regenerates one table or figure of the
 //! paper (the README's figure/table map is the index) and prints the same
-//! rows or series the paper reports, plus the seed it ran with. The
-//! [`report`] module defines and validates the records `bench_engine`,
-//! `bench_streaming` and `bench_server` write to `BENCH_engine.json`,
-//! `BENCH_streaming.json` and `BENCH_server.json`, so the perf trajectory
-//! is machine-readable; [`mc_matrix`] holds the model-checker matrix
-//! `sg_lint --mc` runs.
+//! rows or series the paper reports, plus the seed it ran with;
+//! `sg_lint` and `sg_serve` are the static-verification and serving
+//! gates. [`mc_matrix`] holds the model-checker matrix `sg_lint --mc`
+//! runs. Performance is measured by the repository benchmark
+//! (`perfbench/`) and by the criterion groups in `benches/`.
 
 pub mod mc_matrix;
-pub mod report;
 
 use streamgrid_nn::train::ClsSample;
 use streamgrid_pointcloud::datasets::modelnet::{self, ModelNetConfig};

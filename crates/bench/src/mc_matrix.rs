@@ -13,8 +13,6 @@ use streamgrid_serve::{
 use streamgrid_verify::spsc::{mc_park, mc_spsc, ParkConfig, ParkVariant, SpscConfig, Variant};
 use streamgrid_verify::{McConfig, McReport};
 
-use crate::report::first_broken;
-
 /// Per-model state-count budgets, roughly 4× the exhaustive count the
 /// shipped models explore at their largest bounded configuration.
 /// Every row runs under its model's budget, and a truncated exploration
@@ -256,6 +254,15 @@ pub fn check(rows: &[Row]) -> Result<(), String> {
         first_broken(&format!("{model}: "), &rules)?;
     }
     first_broken("", &[(rows.len() == 30, "the matrix lost a row")])
+}
+
+/// The first `(holds, rule)` pair that does not hold, as an error
+/// prefixed with `context`.
+fn first_broken(context: &str, rules: &[(bool, &str)]) -> Result<(), String> {
+    match rules.iter().find(|(holds, _)| !holds) {
+        Some((_, rule)) => Err(format!("{context}{rule}")),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

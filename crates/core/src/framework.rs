@@ -131,9 +131,6 @@ pub struct CompileSummary {
 pub enum ExecMode {
     /// Always the per-cycle reference oracle.
     CycleAccurate,
-    /// The event-driven fast path where it is exact (deterministic
-    /// termination); otherwise the run silently uses the oracle.
-    EventDriven,
     /// The sharded per-cycle engine with this many threads (exact under
     /// every latency model; ≤ 1 runs the plain oracle).
     Sharded(u32),
@@ -177,8 +174,8 @@ impl ExecMode {
     /// changes wall time only. On one core `Sharded(8)` executes as
     /// `Sharded(1)` (the plain oracle) instead of thrashing eight
     /// threads. The requested mode is recorded on
-    /// [`ExecutionReport::exec_requested`]; harnesses that *want* true
-    /// oversubscription (bench sweeps, stress tests) opt out via
+    /// [`ExecutionReport::exec_requested`]; tests that *want* true
+    /// oversubscription (equivalence sweeps, stress tests) opt out via
     /// [`ExecuteOptions::clamp_shards`] / [`ExecMode::resolve_uncapped`].
     pub fn resolve_with(self, latency: GlobalLatencyModel, host_threads: usize) -> EngineMode {
         match self {
@@ -193,16 +190,13 @@ impl ExecMode {
     /// `Sharded(n)` runs `n` threads even past the host's cores. The
     /// tiered spin→yield→park backoff makes that safe (oversubscribed
     /// shards sleep instead of burning cores), but it is still slower
-    /// than the clamped run — this path exists for harnesses measuring
+    /// than the clamped run — this path exists for tests exercising
     /// exactly that.
     pub fn resolve_uncapped(self, latency: GlobalLatencyModel) -> EngineMode {
         match self {
             ExecMode::CycleAccurate => EngineMode::CycleAccurate,
             ExecMode::Sharded(n) => EngineMode::Sharded(n.max(1)),
-            // An explicit EventDriven request still falls back to the
-            // oracle when the fast path would not be exact, exactly as
-            // the sim layer does; the report records what actually ran.
-            ExecMode::EventDriven | ExecMode::Auto => EngineMode::fastest_exact(latency),
+            ExecMode::Auto => EngineMode::fastest_exact(latency),
         }
     }
 }
@@ -225,7 +219,7 @@ pub struct ExecuteOptions {
     /// When `true` (the default) an explicit [`ExecMode::Sharded`]
     /// request is clamped to the host's cores — see
     /// [`ExecMode::resolve_with`]. Set `false` to deliberately
-    /// oversubscribe (bench sweeps, backoff stress tests).
+    /// oversubscribe (equivalence sweeps, backoff stress tests).
     pub clamp_shards: bool,
     /// Sharded-engine ring length and backoff tier budgets.
     pub ring: RingParams,
@@ -304,9 +298,10 @@ pub struct ExecutionReport {
     pub exec_mode: EngineMode,
     /// The engine selection as *requested* ([`ExecuteOptions::
     /// exec_mode`] verbatim). Differs from [`ExecutionReport::exec_mode`]
-    /// when `Auto` resolved, an `EventDriven` request fell back to the
-    /// oracle, or a `Sharded(n)` request was clamped to the host's
-    /// cores — the explicit record of every degrade.
+    /// when `Auto` resolved (to the event engine under deterministic
+    /// termination, to the oracle otherwise) or a `Sharded(n)` request
+    /// was clamped to the host's cores — the explicit record of every
+    /// degrade.
     pub exec_requested: ExecMode,
     /// Compile-time linter findings for the executed design.
     pub lints: LintSummary,
@@ -389,47 +384,34 @@ impl StreamGrid {
         spec: &PipelineSpec,
         total_elements: u64,
     ) -> Result<CompiledPipeline, CompileError> {
-        let mut graph = spec.graph().clone();
-        self.config.apply(&mut graph);
-        let n_chunks = self.config.chunk_count();
-        // Ceiling division: flooring would drop up to `n_chunks - 1`
-        // source elements from the schedule entirely. The compiled
-        // design must always cover the whole cloud.
-        let chunk_elements = total_elements.div_ceil(n_chunks).max(1);
-        debug_assert!(chunk_elements * n_chunks >= total_elements);
-        let edges = edge_infos(&graph, chunk_elements);
-        let mut schedule = optimize(&graph, &OptimizeConfig::new(chunk_elements))
-            .map_err(CompileError::Optimize)?;
-        if self.config.termination.is_none() {
-            for s in schedule.buffer_sizes.iter_mut() {
-                *s = (*s as f64 * (1.0 + NON_DT_LATENCY_CV)).ceil() as u64;
-            }
-        }
-        let plan = plan_multi_chunk(&graph, &edges);
-        // Full-lattice certification: the optimizer certified a single
-        // chunk; the stream issues `n_chunks` at the plan's initiation
-        // interval, and the superposed transients can exceed the
-        // single-chunk peak by a few elements. Bump those edges so every
-        // compiled design leaves here with an accepting certificate.
-        let cert = certify_schedule(&edges, &schedule, plan.initiation_interval, n_chunks);
-        for ec in &cert.edges {
-            if !ec.accepted {
-                schedule.buffer_sizes[ec.edge] = ec.certified_peak;
-            }
-        }
-        schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
-        let lints = lint_compiled(&graph, &self.config, chunk_elements, n_chunks);
-        Ok(CompiledPipeline {
-            layout: EngineLayout::new(&graph, &edges),
-            graph,
-            edges,
-            schedule,
-            plan,
-            chunk_elements,
-            n_chunks,
-            config: self.config,
-            lints,
-        })
+        self.assemble(
+            spec,
+            total_elements,
+            |graph, edges, plan, chunk_elements| {
+                let mut schedule = optimize(graph, &OptimizeConfig::new(chunk_elements))
+                    .map_err(CompileError::Optimize)?;
+                if self.config.termination.is_none() {
+                    for s in schedule.buffer_sizes.iter_mut() {
+                        *s = (*s as f64 * (1.0 + NON_DT_LATENCY_CV)).ceil() as u64;
+                    }
+                }
+                // Full-lattice certification: the optimizer certified a
+                // single chunk; the stream issues `n_chunks` at the plan's
+                // initiation interval, and the superposed transients can
+                // exceed the single-chunk peak by a few elements. Bump those
+                // edges so every compiled design leaves here with an
+                // accepting certificate.
+                let n_chunks = self.config.chunk_count();
+                let cert = certify_schedule(edges, &schedule, plan.initiation_interval, n_chunks);
+                for ec in &cert.edges {
+                    if !ec.accepted {
+                        schedule.buffer_sizes[ec.edge] = ec.certified_peak;
+                    }
+                }
+                schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
+                Ok(schedule)
+            },
+        )
     }
 
     /// Rebuilds the full compiled design around an already-solved
@@ -449,19 +431,40 @@ impl StreamGrid {
         total_elements: u64,
         schedule: Schedule,
     ) -> Option<CompiledPipeline> {
+        self.assemble(spec, total_elements, |graph, edges, _, _| {
+            let fits = schedule.start_cycles.len() == graph.node_count()
+                && schedule.buffer_sizes.len() == edges.len();
+            fits.then_some(schedule).ok_or(())
+        })
+        .ok()
+    }
+
+    /// Assembles a design around the schedule `schedule` returns for it:
+    /// transforms `spec`'s graph, chunks the cloud, derives edges and the
+    /// multi-chunk plan, and lints and lays out the result. Both
+    /// [`StreamGrid::compile_spec`] (which solves the schedule) and
+    /// [`StreamGrid::rebuild_spec`] (which reads it back from a cache)
+    /// go through here, so a rebuilt design cannot drift from a solved
+    /// one.
+    fn assemble<E>(
+        &self,
+        spec: &PipelineSpec,
+        total_elements: u64,
+        schedule: impl FnOnce(&DataflowGraph, &[EdgeInfo], &MultiChunkPlan, u64) -> Result<Schedule, E>,
+    ) -> Result<CompiledPipeline, E> {
         let mut graph = spec.graph().clone();
         self.config.apply(&mut graph);
         let n_chunks = self.config.chunk_count();
+        // Ceiling division: flooring would drop up to `n_chunks - 1`
+        // source elements from the schedule entirely. The compiled
+        // design must always cover the whole cloud.
         let chunk_elements = total_elements.div_ceil(n_chunks).max(1);
+        debug_assert!(chunk_elements * n_chunks >= total_elements);
         let edges = edge_infos(&graph, chunk_elements);
-        if schedule.start_cycles.len() != graph.node_count()
-            || schedule.buffer_sizes.len() != edges.len()
-        {
-            return None;
-        }
         let plan = plan_multi_chunk(&graph, &edges);
+        let schedule = schedule(&graph, &edges, &plan, chunk_elements)?;
         let lints = lint_compiled(&graph, &self.config, chunk_elements, n_chunks);
-        Some(CompiledPipeline {
+        Ok(CompiledPipeline {
             layout: EngineLayout::new(&graph, &edges),
             graph,
             edges,
@@ -785,17 +788,6 @@ mod tests {
         let base = StreamGrid::new(StreamGridConfig::base());
         let report = base.execute(AppDomain::Classification, 2700).unwrap();
         assert_eq!(report.exec_mode, EngineMode::CycleAccurate);
-
-        // An explicit EventDriven request on a variable-latency design
-        // records the oracle it fell back to.
-        let report = base
-            .execute_with(
-                AppDomain::Classification,
-                2700,
-                &ExecuteOptions::default().with_exec_mode(ExecMode::EventDriven),
-            )
-            .unwrap();
-        assert_eq!(report.exec_mode, EngineMode::CycleAccurate);
     }
 
     #[test]
@@ -812,9 +804,10 @@ mod tests {
             .execute_with(
                 AppDomain::Classification,
                 9 * 300,
-                &ExecuteOptions::default().with_exec_mode(ExecMode::EventDriven),
+                &ExecuteOptions::default().with_exec_mode(ExecMode::Auto),
             )
             .unwrap();
+        assert_eq!(fast.exec_mode, EngineMode::EventDriven);
         assert_eq!(oracle.run, fast.run, "engines must agree bit-for-bit");
         assert_eq!(oracle.compile, fast.compile);
         assert_ne!(oracle.exec_mode, fast.exec_mode);
@@ -887,7 +880,7 @@ mod tests {
             ExecMode::Sharded(3).resolve_with(var, 8),
             EngineMode::Sharded(3)
         );
-        // …and the uncapped path honors the request for harnesses that
+        // …and the uncapped path honors the request for tests that
         // deliberately oversubscribe.
         assert_eq!(
             ExecMode::Sharded(6).resolve_uncapped(var),
@@ -925,7 +918,7 @@ mod tests {
             energy: tiny.energy,
             run: tiny,
             exec_mode: EngineMode::EventDriven,
-            exec_requested: ExecMode::EventDriven,
+            exec_requested: ExecMode::Auto,
             lints: full.lints.clone(),
         };
         assert!(!report.is_clean());

@@ -443,17 +443,6 @@ impl StreamReport {
         self.frames.iter().map(|f| f.report.total_uj()).sum()
     }
 
-    /// Sharded-engine backoff telemetry summed across all frames (all
-    /// zeros when no frame ran sharded). Host-timing-dependent — useful
-    /// for explaining wall time, never part of result equality.
-    pub fn total_backoff(&self) -> streamgrid_sim::BackoffStats {
-        let mut total = streamgrid_sim::BackoffStats::default();
-        for f in &self.frames {
-            total.merge(&f.report.run.backoff);
-        }
-        total
-    }
-
     /// Frames executed per ILP solve paid — the amortization factor
     /// bucketing buys. Infinite when a non-empty stream hit the cache on
     /// every frame; 0 for an empty stream, which executed nothing.
@@ -549,8 +538,8 @@ impl StreamReport {
 /// (0 on an empty slice). This is the **one** percentile definition the
 /// workspace reports against — [`StreamReport`]'s per-frame cycle
 /// percentiles and `streamgrid-serve`'s wall-clock latency SLOs both
-/// delegate here, so a p95 in `BENCH_streaming.json` and a p95 in
-/// `BENCH_server.json` can never mean subtly different statistics.
+/// delegate here, so a p95 on a `StreamReport` and a p95 on a
+/// `ServerReport` can never mean subtly different statistics.
 ///
 /// # Examples
 ///

@@ -16,7 +16,9 @@ use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig, Schedule};
-use streamgrid_sim::{run_with, BufferPolicy, EnergyModel, EngineConfig, EngineLayout, EngineMode};
+use streamgrid_sim::{
+    run_with, BackoffStats, BufferPolicy, EnergyModel, EngineConfig, EngineLayout, EngineMode,
+};
 
 /// Shard counts the sharded engine is swept over: degenerate (1),
 /// small multi-shard splits (2, 4), and more shards than some designs
@@ -47,8 +49,8 @@ fn registry_presets_equivalent_across_chunk_counts() {
             let compiled = fw.compile_spec(spec, elements).expect("preset compiles");
             let oracle = compiled
                 .execute(&ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::CycleAccurate));
-            let event = compiled
-                .execute(&ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::EventDriven));
+            let event =
+                compiled.execute(&ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::Auto));
             assert_eq!(oracle.exec_mode, EngineMode::CycleAccurate);
             assert_eq!(event.exec_mode, EngineMode::EventDriven);
             assert_eq!(
@@ -59,6 +61,19 @@ fn registry_presets_equivalent_across_chunk_counts() {
                 n_chunks,
                 elements
             );
+            // Only shard threads wait on each other. Equality skips the
+            // backoff counters, so the sequential engines' zeros are
+            // checked on their own.
+            for run in [&oracle.run, &event.run] {
+                assert_eq!(
+                    run.backoff,
+                    BackoffStats::default(),
+                    "{} at {} chunks, {} elements: a sequential engine counted backoff",
+                    spec.name(),
+                    n_chunks,
+                    elements
+                );
+            }
             for shards in SHARD_SWEEP {
                 // Clamp off: the sweep's point is running the *real*
                 // multi-shard engine even where the host has fewer
@@ -119,8 +134,8 @@ fn lidar_designs_skip_inside_chunks() {
         let compiled = fw.compile_spec(&spec, elements).expect("design compiles");
         let oracle = compiled
             .execute(&ExecuteOptions::for_spec(&spec).with_exec_mode(ExecMode::CycleAccurate));
-        let event = compiled
-            .execute(&ExecuteOptions::for_spec(&spec).with_exec_mode(ExecMode::EventDriven));
+        let event =
+            compiled.execute(&ExecuteOptions::for_spec(&spec).with_exec_mode(ExecMode::Auto));
         assert_eq!(event.exec_mode, EngineMode::EventDriven);
         assert_eq!(
             oracle.run, event.run,

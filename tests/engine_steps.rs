@@ -67,8 +67,8 @@ fn event_engine_steps_stay_under_their_ceilings() {
     for spec in registry.specs() {
         for elements in SIZES {
             let design = fw.compile_spec(spec, elements).expect("preset compiles");
-            let report = design
-                .execute(&ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::EventDriven));
+            let report =
+                design.execute(&ExecuteOptions::for_spec(spec).with_exec_mode(ExecMode::Auto));
             assert_eq!(report.exec_mode, EngineMode::EventDriven);
             assert!(report.is_clean(), "{} at {elements}", spec.name());
             computed.push((spec.name().to_string(), elements, report.run.stepped_cycles));

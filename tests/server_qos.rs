@@ -246,9 +246,19 @@ fn saturated_classes_with_tiny_queues_never_deadlock() {
             assert_eq!(report.frame_count(), tenants as u64 * frames, "{at}");
             assert_eq!(report.queued_admissions, waitlisted as u64, "{at}");
             assert!(report.all_clean(), "{at}");
+            // No shed deadline or degraded bucketing is configured, and
+            // the waitlist admits instead of rejecting.
+            assert_eq!(report.rejected, 0, "{at}");
             for class in &report.classes {
                 assert_eq!(class.tenants, 4, "{at}");
                 assert_eq!(class.latency.frames, 4 * frames, "{at}");
+                assert_eq!((class.shed_frames, class.degraded_frames), (0, 0), "{at}");
+                let l = &class.latency;
+                assert!(
+                    l.p50_ms <= l.p95_ms && l.p95_ms <= l.p99_ms && l.p99_ms <= l.max_ms,
+                    "{at}, {}: latency percentiles out of order: {l:?}",
+                    class.qos.name()
+                );
             }
         }
     }
