@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the core kernels: neighbor search
 //! variants (the Base vs CS vs CS+DT spectrum), sorting variants, the
-//! line-buffer ILP solve, a compiled design's certification, the
+//! line-buffer ILP solve, both certifications a compile pays, the
 //! cycle-level engine's simulation rate, the whole per-frame `execute`
 //! call, and the LiDAR scanner's cost per sweep.
 
@@ -9,7 +9,9 @@ use std::hint::black_box;
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
-use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
+use streamgrid_optimizer::{
+    certify_schedule, edge_infos, optimize, plan_multi_chunk, OptimizeConfig,
+};
 use streamgrid_pointcloud::datasets::lidar::{scan, trajectory, LidarConfig, Scene};
 use streamgrid_pointcloud::{Aabb, ChunkGrid, GridDims, Point3, WindowSpec};
 use streamgrid_sim::{run, run_with, EnergyModel, EngineConfig, EngineMode};
@@ -122,14 +124,26 @@ fn bench_optimizer(c: &mut Criterion) {
 }
 
 fn bench_certify(c: &mut Criterion) {
-    // Full-lattice certification, which every cold compile runs after
-    // its solve, of the designs `line_buffer_ilp` solves.
+    // The two certifications every cold compile runs, on the designs
+    // `line_buffer_ilp` solves: `certify` times the full-lattice pass
+    // `compile_spec` runs, `certify_single_chunk` the single-chunk pass
+    // `optimize` runs after its solve.
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
+    let designs: Vec<_> = AppDomain::ALL
+        .into_iter()
+        .map(|domain| (domain, fw.compile(domain, 4 * 1200).unwrap()))
+        .collect();
     let mut g = c.benchmark_group("certify");
-    for domain in AppDomain::ALL {
-        let compiled = fw.compile(domain, 4 * 1200).unwrap();
+    for (domain, compiled) in &designs {
         g.bench_function(format!("{domain:?}"), |b| {
             b.iter(|| black_box(compiled.certify()))
+        });
+    }
+    g.finish();
+    let mut g = c.benchmark_group("certify_single_chunk");
+    for (domain, compiled) in &designs {
+        g.bench_function(format!("{domain:?}"), |b| {
+            b.iter(|| black_box(certify_schedule(&compiled.edges, &compiled.schedule, 1, 1)))
         });
     }
     g.finish();

@@ -169,9 +169,9 @@ impl<'a> CompileRequest<'a> {
         config: &'a StreamGridConfig,
         scheduled_elements: u64,
     ) -> Self {
-        // Ceiling division, mirroring `StreamGrid::compile_spec`: the
-        // key must be the chunk size the compile actually provisions.
-        let chunk_elements = scheduled_elements.div_ceil(config.chunk_count()).max(1);
+        // The key must be the chunk size the compile provisions, so both
+        // take it from the config.
+        let chunk_elements = config.chunk_elements(scheduled_elements);
         CompileRequest {
             spec,
             spec_repr,
@@ -717,6 +717,25 @@ mod tests {
             request(&spec, &repr, &csdt, 2400).key(),
             request(&spec, &repr, &base, 2400).key()
         );
+    }
+
+    #[test]
+    fn keys_carry_the_chunk_size_the_design_provisions() {
+        let spec = AppDomain::Classification.spec();
+        let repr = spec_repr(&spec);
+        for chunks in [1u32, 4, 9, 16] {
+            let config = StreamGridConfig::cs_dt(SplitConfig::linear(chunks, 2));
+            for elements in [1u64, 3, 15, 16, 17, 1199, 1200, 1201] {
+                let compiled = request(&spec, &repr, &config, elements).solve().unwrap();
+                assert_eq!(
+                    compiled.chunk_elements,
+                    request(&spec, &repr, &config, elements)
+                        .key()
+                        .chunk_elements(),
+                    "{elements} elements in {chunks} chunks"
+                );
+            }
+        }
     }
 
     #[test]

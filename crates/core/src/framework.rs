@@ -455,10 +455,7 @@ impl StreamGrid {
         let mut graph = spec.graph().clone();
         self.config.apply(&mut graph);
         let n_chunks = self.config.chunk_count();
-        // Ceiling division: flooring would drop up to `n_chunks - 1`
-        // source elements from the schedule entirely. The compiled
-        // design must always cover the whole cloud.
-        let chunk_elements = total_elements.div_ceil(n_chunks).max(1);
+        let chunk_elements = self.config.chunk_elements(total_elements);
         debug_assert!(chunk_elements * n_chunks >= total_elements);
         let edges = edge_infos(&graph, chunk_elements);
         let plan = plan_multi_chunk(&graph, &edges);

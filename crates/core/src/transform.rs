@@ -104,6 +104,15 @@ impl StreamGridConfig {
         self.splitting.map(|s| s.chunk_count()).unwrap_or(1)
     }
 
+    /// Elements per chunk a design for `total_elements` provisions: the
+    /// ceiling of `total_elements / chunk_count()`, and at least 1.
+    /// Flooring would drop up to `chunk_count() − 1` source elements from
+    /// the schedule; the chunks must always cover the whole cloud. A
+    /// compile and its cache key both size chunks here.
+    pub fn chunk_elements(&self, total_elements: u64) -> u64 {
+        total_elements.div_ceil(self.chunk_count()).max(1)
+    }
+
     /// Applies the transform to a dataflow graph: global ops get their
     /// chunk-window retention set (Fig. 7). The graph itself stays
     /// structurally identical — CS/DT change communication volumes and
@@ -147,6 +156,16 @@ mod tests {
         assert!(cs.termination.is_none());
         let csdt = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
         assert!(csdt.termination.is_some());
+    }
+
+    #[test]
+    fn chunk_elements_round_up_and_never_vanish() {
+        let cs = StreamGridConfig::cs(SplitConfig::linear(4, 2));
+        assert_eq!(cs.chunk_elements(2400), 600);
+        assert_eq!(cs.chunk_elements(2401), 601);
+        assert_eq!(cs.chunk_elements(3), 1);
+        assert_eq!(cs.chunk_elements(0), 1);
+        assert_eq!(StreamGridConfig::base().chunk_elements(2401), 2401);
     }
 
     #[test]

@@ -30,6 +30,16 @@
 //! apart never overlap, so `K = min(n_chunks, span/II + 2)` chunks and
 //! one saturated window of cycles cover every relative phase the full
 //! stream can exhibit.
+//!
+//! The walk visits every cycle of that window, but computes no
+//! allowance from scratch: each side of an edge keeps one
+//! `(value, remainder)` accumulator per chunk track and steps it the
+//! way `RateAcc` does — add `num / den`, carry one when the remainder
+//! reaches `den`, clamp at `V` — so a cycle costs adds and compares, with
+//! no multiply or divide. Only the started, unsaturated tracks step (a
+//! contiguous run of chunk indices), so the walk costs
+//! O(window × live tracks). The accumulators stay `i128`, like every
+//! other quantity here.
 
 use serde::Serialize;
 use streamgrid_dataflow::Rate;
@@ -143,18 +153,6 @@ impl Certificate {
     }
 }
 
-/// Cumulative allowance through cycle `t` for a track that starts at
-/// cycle `start` and advances `rate` elements per cycle, clamped to
-/// `volume`: `clamp(⌊(t − start + 1)·num/den⌋, 0, volume)`.
-fn allowance(t: i128, start: i128, rate: Rate, volume: u64) -> i128 {
-    let k = t - start + 1;
-    if k <= 0 {
-        return 0;
-    }
-    let raw = k * rate.num() as i128 / rate.den() as i128;
-    raw.min(volume as i128)
-}
-
 /// Certifies `bounds` against the worst-case discrete occupancy of
 /// every edge over the chunk lattice `start_cycles[stage] + c·period`
 /// for `c` in `0..n_chunks`.
@@ -173,6 +171,23 @@ pub fn certify(
     bounds: &[u64],
     period: u64,
     n_chunks: u64,
+) -> Certificate {
+    certify_by(edges, start_cycles, bounds, period, n_chunks, edge_peak)
+}
+
+/// What [`edge_peak`] returns: `(peak, starve_slack, witness_cycle,
+/// chunks_analyzed)`.
+type Walk = (i128, i128, i64, u64);
+
+/// [`certify`] with the local-edge walk as a parameter, so the tests can
+/// run the same certificate over a reference walk.
+fn certify_by(
+    edges: &[CertEdge],
+    start_cycles: &[u64],
+    bounds: &[u64],
+    period: u64,
+    n_chunks: u64,
+    walk: impl Fn(&CertEdge, &[u64], i128, u64) -> Walk,
 ) -> Certificate {
     assert_eq!(
         edges.len(),
@@ -197,7 +212,7 @@ pub fn certify(
                     n_chunks.min(e.window_chunks as u64).max(1),
                 )
             } else {
-                edge_peak(e, start_cycles, ii, n_chunks)
+                walk(e, start_cycles, ii, n_chunks)
             };
             let certified_peak = peak.max(0) as u64;
             EdgeCert {
@@ -222,6 +237,15 @@ pub fn certify(
 
 /// Worst-case discrete occupancy of one local edge over the lattice:
 /// `(peak, starve_slack, witness_cycle, chunks_analyzed)`.
+fn edge_peak(e: &CertEdge, start_cycles: &[u64], ii: i128, n_chunks: u64) -> Walk {
+    let window = Window::new(e, start_cycles, ii, n_chunks);
+    let k = window.k as usize;
+    let mut writes = Side::new(window.w0, ii, e.tau_out, e.volume, k);
+    let mut reads = Side::new(window.r0, ii, e.tau_in, e.volume, k);
+    window.fold(|t| (writes.step(t), reads.step(t)))
+}
+
+/// The cycles one local edge's walk visits.
 ///
 /// Enumerates every integer cycle of one saturated window with `K`
 /// superposed chunks. Chunks further apart than the edge's span never
@@ -230,53 +254,130 @@ pub fn certify(
 /// contiguous run of active chunks in the stream maps phase-for-phase
 /// onto the first `K` chunks here (earlier chunks are fully drained and
 /// contribute zero, later ones have not started).
-fn edge_peak(
-    e: &CertEdge,
-    start_cycles: &[u64],
-    ii: i128,
-    n_chunks: u64,
-) -> (i128, i128, i64, u64) {
-    let w0 = (start_cycles[e.producer] + e.depth) as i128;
-    let r0 = start_cycles[e.consumer] as i128;
-    let wd = e.tau_out.cycles_for(e.volume) as i128;
-    let rd = e.tau_in.cycles_for(e.volume) as i128;
-    let span = (w0 + wd).max(r0 + rd) - w0.min(r0);
-    let k = (n_chunks as i128).min(span / ii + 2).max(1);
-    let t_min = w0.min(r0) - 1;
-    let t_max = (w0 + wd).max(r0 + rd) + (k - 1) * ii;
+struct Window {
+    /// First write cycle of chunk 0.
+    w0: i128,
+    /// First read cycle of chunk 0.
+    r0: i128,
+    /// Chunks superposed: `K`.
+    k: i128,
+    t_min: i128,
+    t_max: i128,
+}
 
-    let writes = |t: i128| -> i128 {
-        (0..k)
-            .map(|c| allowance(t, w0 + c * ii, e.tau_out, e.volume))
-            .sum()
-    };
-    let reads = |t: i128| -> i128 {
-        (0..k)
-            .map(|c| allowance(t, r0 + c * ii, e.tau_in, e.volume))
-            .sum()
-    };
-
-    let mut prev_w = writes(t_min - 1);
-    let mut delta = 0i128;
-    let mut peak = 0i128;
-    let mut peak_delta = 0i128;
-    let mut witness = t_min;
-    for t in t_min..=t_max {
-        let w = writes(t);
-        let r = reads(t);
-        // Reads at cycle t see writes through t−1; any allowance beyond
-        // that is a transient the discrete stepper can carry forward as
-        // extra occupancy once the producer catches up.
-        delta = delta.max(r - prev_w);
-        let occ = w - r + delta;
-        if occ > peak {
-            peak = occ;
-            peak_delta = delta;
-            witness = t;
+impl Window {
+    fn new(e: &CertEdge, start_cycles: &[u64], ii: i128, n_chunks: u64) -> Self {
+        let w0 = (start_cycles[e.producer] + e.depth) as i128;
+        let r0 = start_cycles[e.consumer] as i128;
+        let wd = e.tau_out.cycles_for(e.volume) as i128;
+        let rd = e.tau_in.cycles_for(e.volume) as i128;
+        let span = (w0 + wd).max(r0 + rd) - w0.min(r0);
+        let k = (n_chunks as i128).min(span / ii + 2).max(1);
+        Window {
+            w0,
+            r0,
+            k,
+            // One cycle before every track starts.
+            t_min: w0.min(r0) - 1,
+            t_max: (w0 + wd).max(r0 + rd) + (k - 1) * ii,
         }
-        prev_w = w;
     }
-    (peak, peak_delta.max(0), witness as i64, k as u64)
+
+    /// Folds `Ŵ(t)` and `R̂(t)`, which `sides` returns for each cycle in
+    /// order, into the walk's result.
+    fn fold(self, mut sides: impl FnMut(i128) -> (i128, i128)) -> Walk {
+        // `Ŵ(t_min − 1)`: no track has started.
+        let mut prev_w = 0i128;
+        let mut delta = 0i128;
+        let mut peak = 0i128;
+        let mut peak_delta = 0i128;
+        let mut witness = self.t_min;
+        for t in self.t_min..=self.t_max {
+            let (w, r) = sides(t);
+            // Reads at cycle t see writes through t−1; any allowance beyond
+            // that is a transient the discrete stepper can carry forward as
+            // extra occupancy once the producer catches up.
+            delta = delta.max(r - prev_w);
+            let occ = w - r + delta;
+            if occ > peak {
+                peak = occ;
+                peak_delta = delta;
+                witness = t;
+            }
+            prev_w = w;
+        }
+        (peak, peak_delta.max(0), witness as i64, self.k as u64)
+    }
+}
+
+/// One side of a local edge (its writes or its reads): `K` chunk
+/// tracks issued `II` cycles apart, each allowed `rate` elements per
+/// cycle up to the chunk volume.
+struct Side {
+    /// `num / den`: what every step adds.
+    whole: i128,
+    /// `num % den`: what every step adds to the remainder.
+    frac: i128,
+    den: i128,
+    volume: i128,
+    ii: i128,
+    /// Cycle at which track `started` takes its first step.
+    next_issue: i128,
+    /// `(value, remainder)` per track: after `j` steps a track holds
+    /// `min(⌊j·num/den⌋, volume)` with remainder `j·num mod den`.
+    tracks: Vec<(i128, i128)>,
+    /// Tracks `..saturated` hold `volume`; `saturated..started` are live.
+    saturated: usize,
+    started: usize,
+    /// `saturated · volume`.
+    saturated_sum: i128,
+}
+
+impl Side {
+    fn new(start: i128, ii: i128, rate: Rate, volume: u64, k: usize) -> Self {
+        let (num, den) = (rate.num() as i128, rate.den() as i128);
+        Side {
+            whole: num / den,
+            frac: num % den,
+            den,
+            volume: volume as i128,
+            ii,
+            next_issue: start,
+            tracks: vec![(0, 0); k],
+            saturated: 0,
+            started: 0,
+            saturated_sum: 0,
+        }
+    }
+
+    /// Steps the tracks through cycle `t` (called for consecutive `t`
+    /// from before the first issue) and returns their summed allowance:
+    /// track `c`, issued at `s`, holds `min(⌊(t − s + 1)·num/den⌋,
+    /// volume)` once `t ≥ s`, and 0 before.
+    fn step(&mut self, t: i128) -> i128 {
+        if t == self.next_issue && self.started < self.tracks.len() {
+            self.started += 1;
+            self.next_issue += self.ii;
+        }
+        let mut sum = self.saturated_sum;
+        for (value, rem) in &mut self.tracks[self.saturated..self.started] {
+            *value += self.whole;
+            *rem += self.frac;
+            if *rem >= self.den {
+                *rem -= self.den;
+                *value += 1;
+            }
+            *value = (*value).min(self.volume);
+            sum += *value;
+        }
+        // Tracks share one rate and issue in order, so they saturate in
+        // order too: the live ones stay a contiguous run.
+        while self.saturated < self.started && self.tracks[self.saturated].0 == self.volume {
+            self.saturated += 1;
+            self.saturated_sum += self.volume;
+        }
+        sum
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +386,144 @@ mod tests {
 
     fn rate(num: i64, den: i64) -> Rate {
         Rate::new(num, den)
+    }
+
+    /// Cumulative allowance through cycle `t` for a track that starts at
+    /// cycle `start` and advances `rate` elements per cycle, clamped to
+    /// `volume`: `clamp(⌊(t − start + 1)·num/den⌋, 0, volume)`.
+    fn allowance(t: i128, start: i128, rate: Rate, volume: u64) -> i128 {
+        let k = t - start + 1;
+        if k <= 0 {
+            return 0;
+        }
+        let raw = k * rate.num() as i128 / rate.den() as i128;
+        raw.min(volume as i128)
+    }
+
+    /// The walk by definition: every cycle sums [`allowance`] over the
+    /// `K` tracks of each side, one division per track. [`edge_peak`]
+    /// must return exactly this.
+    fn edge_peak_reference(e: &CertEdge, start_cycles: &[u64], ii: i128, n_chunks: u64) -> Walk {
+        let window = Window::new(e, start_cycles, ii, n_chunks);
+        let (w0, r0, k) = (window.w0, window.r0, window.k);
+        let sum = |t: i128, start: i128, rate: Rate| -> i128 {
+            (0..k)
+                .map(|c| allowance(t, start + c * ii, rate, e.volume))
+                .sum()
+        };
+        window.fold(|t| (sum(t, w0, e.tau_out), sum(t, r0, e.tau_in)))
+    }
+
+    /// SplitMix64: the sweep's seeded source of cases.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A value in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next_u64() % (hi - lo + 1)
+        }
+
+        /// `true` with probability `1/n`.
+        fn one_in(&mut self, n: u64) -> bool {
+            self.next_u64().is_multiple_of(n)
+        }
+    }
+
+    /// A rate `num/den` with `den` in `1..=12` (half the time 1) and up
+    /// to three elements per cycle.
+    fn random_rate(rng: &mut SplitMix) -> Rate {
+        let den = if rng.one_in(2) { 1 } else { rng.range(2, 12) };
+        let num = rng.range(1, 3 * den);
+        rate(num as i64, den as i64)
+    }
+
+    /// One random certification: its edges, start cycles, bounds,
+    /// period and chunk count.
+    type Case = (Vec<CertEdge>, Vec<u64>, Vec<u64>, u64, u64);
+
+    fn random_case(rng: &mut SplitMix) -> Case {
+        let n_edges = rng.range(1, 4) as usize;
+        // Stage `i` feeds stage `i + 1`; each start is drawn on its own,
+        // so a reader starts before or after its writer about as often.
+        let starts: Vec<u64> = (0..=n_edges).map(|_| rng.range(0, 120)).collect();
+        let edges: Vec<CertEdge> = (0..n_edges)
+            .map(|i| CertEdge {
+                producer: i,
+                consumer: i + 1,
+                tau_out: random_rate(rng),
+                tau_in: random_rate(rng),
+                volume: if rng.one_in(4) {
+                    rng.range(0, 3)
+                } else {
+                    rng.range(0, 700)
+                },
+                depth: rng.range(0, 24),
+                global_consumer: rng.one_in(8),
+                window_chunks: rng.range(1, 4) as u32,
+            })
+            .collect();
+        let bounds = edges
+            .iter()
+            .map(|e| rng.range(0, 2 * e.volume + 8))
+            .collect();
+        let n_chunks = match rng.range(0, 2) {
+            0 => 1,
+            1 => rng.range(2, 4),
+            _ => rng.range(5, 64),
+        };
+        // The longest edge span bounds how far apart chunks can overlap.
+        let span = edges
+            .iter()
+            .map(|e| {
+                let w0 = starts[e.producer] + e.depth;
+                let r0 = starts[e.consumer];
+                let w1 = w0 + e.tau_out.cycles_for(e.volume);
+                let r1 = r0 + e.tau_in.cycles_for(e.volume);
+                w1.max(r1) - w0.min(r0)
+            })
+            .max()
+            .unwrap_or(0);
+        let period = match rng.range(0, 3) {
+            0 => 1,
+            1 => rng.range(2, 40),
+            2 => rng.range(41, span.max(41) + 1),
+            _ => span + rng.range(1, 50),
+        };
+        (edges, starts, bounds, period, n_chunks)
+    }
+
+    /// 1,000 seeded random certificates certify field for field alike
+    /// under both walks: 1–4 edges, `den` up to 12, volumes 0–700 (a
+    /// quarter of them 0–3), readers starting before or after their
+    /// writers, `II` from 1 to past the span, 1 to 64 chunks, and an
+    /// eighth of the edges global.
+    #[test]
+    fn stepped_walk_matches_the_division_walk() {
+        let mut rng = SplitMix(0x5eed_ce27);
+        for case in 0..1000 {
+            let (edges, starts, bounds, period, n_chunks) = random_case(&mut rng);
+            let stepped = certify(&edges, &starts, &bounds, period, n_chunks);
+            let reference = certify_by(
+                &edges,
+                &starts,
+                &bounds,
+                period,
+                n_chunks,
+                edge_peak_reference,
+            );
+            assert_eq!(
+                stepped, reference,
+                "case {case}: {edges:?} starts {starts:?} II {period} × {n_chunks}"
+            );
+        }
     }
 
     fn local_edge(tau_out: Rate, tau_in: Rate, volume: u64, depth: u64) -> CertEdge {
