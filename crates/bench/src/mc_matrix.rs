@@ -1,5 +1,4 @@
-//! The concurrency model-checker matrix `sg_lint --mc` prints: the shard
-//! engine's SPSC counter ring and park/wake handshake, and the serving
+//! The concurrency model-checker matrix `sg_lint --mc` prints: the serving
 //! layer's work/space dispatch, ledger + FIFO waitlist and WFQ pick. Each
 //! correct protocol must pass exhaustively within its model's state budget
 //! (a truncated exploration fails), and each seeded sabotage must be
@@ -10,7 +9,6 @@ use streamgrid_serve::{
     check_dispatch, check_ledger, check_wfq, DispatchConfig, DispatchVariant, LedgerScenario,
     LedgerVariant, WfqConfig, WfqVariant,
 };
-use streamgrid_verify::spsc::{mc_park, mc_spsc, ParkConfig, ParkVariant, SpscConfig, Variant};
 use streamgrid_verify::{McConfig, McReport};
 
 /// Per-model state-count budgets, roughly 4× the exhaustive count the
@@ -18,9 +16,7 @@ use streamgrid_verify::{McConfig, McReport};
 /// Every row runs under its model's budget, and a truncated exploration
 /// never passes — so silent state-space growth (a model edit that blows
 /// up exploration) fails CI instead of burning it.
-pub const BUDGETS: [(&str, u64); 5] = [
-    ("spsc-ring", 4_000),
-    ("park-wake", 1_000),
+pub const BUDGETS: [(&str, u64); 3] = [
     ("work-space-dispatch", 12_500),
     ("ledger-waitlist", 1_000),
     ("wfq-pick", 2_000),
@@ -39,7 +35,7 @@ fn budget(model: &str) -> Option<u64> {
 pub struct Row {
     /// `"correct"` for the shipped protocol, else the sabotage's label.
     pub variant: &'static str,
-    /// The bounded configuration explored, e.g. `ring 2x4`.
+    /// The bounded configuration explored, e.g. `2w q1 f3`.
     pub bounds: String,
     /// The state budget the exploration ran under.
     pub budget: u64,
@@ -75,56 +71,6 @@ pub fn matrix() -> Vec<Row> {
             report: explore(&McConfig::default().with_max_states(limit)),
         });
     };
-
-    // Shard engine: the SPSC counter ring, at ring lengths × items that
-    // span the flow-control and finish interleavings.
-    for (ring_len, iterations) in [(1, 4), (2, 4), (2, 6), (3, 6), (4, 5)] {
-        let config = SpscConfig {
-            ring_len,
-            iterations,
-        };
-        run(
-            "spsc-ring",
-            "correct",
-            format!("ring {ring_len}x{iterations}"),
-            &|mc| mc_spsc(&config, Variant::Correct, mc),
-        );
-    }
-    for (label, variant) in [
-        ("publish-before-done", Variant::PublishBeforeDone),
-        ("flow-ctl-off-by-one", Variant::FlowControlOffByOne),
-    ] {
-        let config = SpscConfig {
-            ring_len: 2,
-            iterations: 4,
-        };
-        run("spsc-ring", label, "ring 2x4".to_owned(), &|mc| {
-            mc_spsc(&config, variant, mc)
-        });
-    }
-
-    // Shard engine: the park/wake backoff handshake, with the classic
-    // lost-wakeup sabotage (sleep without the flag recheck).
-    for iterations in [1u64, 2, 4, 6, 8] {
-        run(
-            "park-wake",
-            "correct",
-            format!("items {iterations}"),
-            &|mc| mc_park(&ParkConfig { iterations }, ParkVariant::Correct, mc),
-        );
-    }
-    run(
-        "park-wake",
-        "wake-before-recheck",
-        "items 4".to_owned(),
-        &|mc| {
-            mc_park(
-                &ParkConfig { iterations: 4 },
-                ParkVariant::WakeBeforeFlagRecheck,
-                mc,
-            )
-        },
-    );
 
     // Serving layer: the scheduler↔worker two-condvar dispatch loop.
     let dispatch_bounds =
@@ -222,7 +168,7 @@ pub fn matrix() -> Vec<Row> {
 /// Checks a matrix: every row ran under its model's budget in
 /// [`BUDGETS`], explored `0 < states ≤ budget` to a nonzero depth, and
 /// reached `PASS` (correct) or `CAUGHT` (sabotage); every budgeted model
-/// has a correct and a sabotage row; and none of the 30 rows is lost.
+/// has a correct and a sabotage row; and none of the 17 rows is lost.
 ///
 /// # Errors
 ///
@@ -253,7 +199,7 @@ pub fn check(rows: &[Row]) -> Result<(), String> {
         ];
         first_broken(&format!("{model}: "), &rules)?;
     }
-    first_broken("", &[(rows.len() == 30, "the matrix lost a row")])
+    first_broken("", &[(rows.len() == 17, "the matrix lost a row")])
 }
 
 /// The first `(holds, rule)` pair that does not hold, as an error

@@ -5,12 +5,12 @@
 use serde::{Deserialize, Serialize};
 use streamgrid_dataflow::DataflowGraph;
 use streamgrid_optimizer::{
-    certify_schedule, edge_infos, optimize, plan_multi_chunk, EdgeInfo, MultiChunkPlan,
-    OptimizeConfig, Schedule,
+    certify_and_raise, certify_schedule, edge_infos, optimize, plan_multi_chunk, EdgeInfo,
+    MultiChunkPlan, OptimizeConfig, Schedule,
 };
 use streamgrid_sim::{
     BufferPolicy, EnergyBreakdown, EnergyModel, EngineConfig, EngineLayout, EngineMode,
-    GlobalLatencyModel, RingParams, RunReport,
+    GlobalLatencyModel, RunReport,
 };
 use streamgrid_verify::{lint_graph, Certificate, Diagnostic, LintContext, Severity};
 
@@ -131,15 +131,9 @@ pub struct CompileSummary {
 pub enum ExecMode {
     /// Always the per-cycle reference oracle.
     CycleAccurate,
-    /// The sharded per-cycle engine with this many threads (exact under
-    /// every latency model; ≤ 1 runs the plain oracle).
-    Sharded(u32),
     /// The fastest exact engine for the compiled design
     /// ([`EngineMode::fastest_exact`]): event-driven under DT, the
-    /// oracle under variable latency. Never sharded: on every measured
-    /// host and design point the sharded engine ran slower than the
-    /// oracle, because stages do too little work per cycle to pay for
-    /// cross-thread hand-offs. The default.
+    /// oracle under variable latency. The default.
     #[default]
     Auto,
 }
@@ -147,55 +141,10 @@ pub enum ExecMode {
 impl ExecMode {
     /// The concrete engine this mode resolves to for a design with the
     /// given latency model — what [`ExecutionReport::exec_mode`]
-    /// records. Only `Sharded(n)` reads the host's available
-    /// parallelism, for the shard clamp; every other mode resolves
-    /// through [`ExecMode::resolve_uncapped`] without a system call,
-    /// which matters because [`CompiledPipeline::execute`] resolves once
-    /// per frame. See [`ExecMode::resolve_with`] for the pure policy.
+    /// records.
     pub fn resolve(self, latency: GlobalLatencyModel) -> EngineMode {
         match self {
-            ExecMode::Sharded(_) => {
-                let host_threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                self.resolve_with(latency, host_threads)
-            }
-            other => other.resolve_uncapped(latency),
-        }
-    }
-
-    /// [`ExecMode::resolve`] with the host thread count injected —
-    /// the policy itself, testable on any machine.
-    ///
-    /// An explicit `Sharded(n)` is **clamped to the host's cores**:
-    /// cutting the stage order into `min(n, host_threads)` contiguous
-    /// shards is exactly the contiguous-merge of the over-requested
-    /// partition, and results are shard-count-invariant, so the degrade
-    /// changes wall time only. On one core `Sharded(8)` executes as
-    /// `Sharded(1)` (the plain oracle) instead of thrashing eight
-    /// threads. The requested mode is recorded on
-    /// [`ExecutionReport::exec_requested`]; tests that *want* true
-    /// oversubscription (equivalence sweeps, stress tests) opt out via
-    /// [`ExecuteOptions::clamp_shards`] / [`ExecMode::resolve_uncapped`].
-    pub fn resolve_with(self, latency: GlobalLatencyModel, host_threads: usize) -> EngineMode {
-        match self {
-            ExecMode::Sharded(n) => {
-                EngineMode::Sharded(n.clamp(1, host_threads.max(1).min(u32::MAX as usize) as u32))
-            }
-            other => other.resolve_uncapped(latency),
-        }
-    }
-
-    /// [`ExecMode::resolve`] without the shard clamp: an explicit
-    /// `Sharded(n)` runs `n` threads even past the host's cores. The
-    /// tiered spin→yield→park backoff makes that safe (oversubscribed
-    /// shards sleep instead of burning cores), but it is still slower
-    /// than the clamped run — this path exists for tests exercising
-    /// exactly that.
-    pub fn resolve_uncapped(self, latency: GlobalLatencyModel) -> EngineMode {
-        match self {
             ExecMode::CycleAccurate => EngineMode::CycleAccurate,
-            ExecMode::Sharded(n) => EngineMode::Sharded(n.max(1)),
             ExecMode::Auto => EngineMode::fastest_exact(latency),
         }
     }
@@ -216,13 +165,6 @@ pub struct ExecuteOptions {
     pub macs_per_element: f64,
     /// Engine selection ([`ExecMode::Auto`] by default).
     pub exec_mode: ExecMode,
-    /// When `true` (the default) an explicit [`ExecMode::Sharded`]
-    /// request is clamped to the host's cores — see
-    /// [`ExecMode::resolve_with`]. Set `false` to deliberately
-    /// oversubscribe (equivalence sweeps, backoff stress tests).
-    pub clamp_shards: bool,
-    /// Sharded-engine ring length and backoff tier budgets.
-    pub ring: RingParams,
 }
 
 impl Default for ExecuteOptions {
@@ -234,8 +176,6 @@ impl Default for ExecuteOptions {
             bytes_per_element: engine.bytes_per_element,
             macs_per_element: engine.macs_per_element,
             exec_mode: ExecMode::Auto,
-            clamp_shards: true,
-            ring: engine.ring,
         }
     }
 }
@@ -263,21 +203,6 @@ impl ExecuteOptions {
         self.exec_mode = mode;
         self
     }
-
-    /// Returns the options with the host-core shard clamp switched on
-    /// or off (`false` = honor `Sharded(n)` verbatim, oversubscribing
-    /// the host when `n` exceeds its cores).
-    pub fn with_shard_clamp(mut self, clamp: bool) -> Self {
-        self.clamp_shards = clamp;
-        self
-    }
-
-    /// Returns the options with the sharded-engine ring/backoff tuning
-    /// replaced.
-    pub fn with_ring(mut self, ring: RingParams) -> Self {
-        self.ring = ring;
-        self
-    }
 }
 
 /// The unified result of the whole Fig. 1 flow: what the compiler
@@ -299,9 +224,7 @@ pub struct ExecutionReport {
     /// The engine selection as *requested* ([`ExecuteOptions::
     /// exec_mode`] verbatim). Differs from [`ExecutionReport::exec_mode`]
     /// when `Auto` resolved (to the event engine under deterministic
-    /// termination, to the oracle otherwise) or a `Sharded(n)` request
-    /// was clamped to the host's cores — the explicit record of every
-    /// degrade.
+    /// termination, to the oracle otherwise).
     pub exec_requested: ExecMode,
     /// Compile-time linter findings for the executed design.
     pub lints: LintSummary,
@@ -402,13 +325,7 @@ impl StreamGrid {
                 // edges so every compiled design leaves here with an
                 // accepting certificate.
                 let n_chunks = self.config.chunk_count();
-                let cert = certify_schedule(edges, &schedule, plan.initiation_interval, n_chunks);
-                for ec in &cert.edges {
-                    if !ec.accepted {
-                        schedule.buffer_sizes[ec.edge] = ec.certified_peak;
-                    }
-                }
-                schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
+                certify_and_raise(edges, &mut schedule, plan.initiation_interval, n_chunks);
                 Ok(schedule)
             },
         )
@@ -615,11 +532,7 @@ impl CompiledPipeline {
                 BufferPolicy::Elastic,
             )
         };
-        let engine = if options.clamp_shards {
-            options.exec_mode.resolve(latency)
-        } else {
-            options.exec_mode.resolve_uncapped(latency)
-        };
+        let engine = options.exec_mode.resolve(latency);
         let run_report = self.layout.run(
             &self.schedule,
             &self.plan,
@@ -630,7 +543,6 @@ impl CompiledPipeline {
                 global_latency: latency,
                 buffer_policy: policy,
                 macs_per_element: options.macs_per_element,
-                ring: options.ring,
                 ..EngineConfig::default()
             },
             engine,
@@ -811,78 +723,26 @@ mod tests {
     }
 
     #[test]
-    fn sharded_mode_is_bit_identical_on_both_latency_models() {
-        // Explicit sharding must reproduce the oracle exactly — on the
-        // deterministic CS+DT design and on the variable-latency Base
-        // design (where it is the only parallel exact engine).
-        for config in [
-            StreamGridConfig::cs_dt(SplitConfig::paper_cls()),
-            StreamGridConfig::base(),
-        ] {
-            let fw = StreamGrid::new(config);
-            let compiled = fw.compile(AppDomain::Classification, 9 * 300).unwrap();
-            let oracle = compiled
-                .execute(&ExecuteOptions::default().with_exec_mode(ExecMode::CycleAccurate));
-            for shards in [1u32, 2, 4, 8] {
-                // Unclamped, so shard counts past the host's cores still
-                // exercise real multi-thread runs (the parking backoff
-                // makes that safe); the requested mode is recorded.
-                let sharded = compiled.execute(
-                    &ExecuteOptions::default()
-                        .with_exec_mode(ExecMode::Sharded(shards))
-                        .with_shard_clamp(false),
-                );
-                assert_eq!(sharded.exec_mode, EngineMode::Sharded(shards));
-                assert_eq!(sharded.exec_requested, ExecMode::Sharded(shards));
-                assert_eq!(oracle.run, sharded.run, "shards = {shards}");
-            }
-        }
-    }
-
-    #[test]
     fn auto_resolves_to_fastest_exact_and_never_shards() {
-        use ExecMode::Auto;
         let var = GlobalLatencyModel::Variable { cv: 0.8, seed: 1 };
-        // Auto is the fastest exact engine on every host: the event fast
-        // path under DT, the plain oracle under variable latency —
-        // never the sharded engine, however many cores the host has.
-        for host_threads in [1, 2, 8, 64] {
+        // Auto is the fastest exact engine: the event fast path under
+        // DT, the plain oracle under variable latency — never the
+        // `Sharded` placeholder. CycleAccurate is the oracle under both.
+        assert_eq!(
+            ExecMode::Auto.resolve(GlobalLatencyModel::Deterministic),
+            EngineMode::EventDriven
+        );
+        assert_eq!(ExecMode::Auto.resolve(var), EngineMode::CycleAccurate);
+        for latency in [GlobalLatencyModel::Deterministic, var] {
             assert_eq!(
-                Auto.resolve_with(GlobalLatencyModel::Deterministic, host_threads),
-                EngineMode::EventDriven
+                ExecMode::Auto.resolve(latency),
+                EngineMode::fastest_exact(latency)
             );
             assert_eq!(
-                Auto.resolve_with(var, host_threads),
+                ExecMode::CycleAccurate.resolve(latency),
                 EngineMode::CycleAccurate
             );
         }
-        assert_eq!(Auto.resolve_uncapped(var), EngineMode::CycleAccurate);
-        assert_eq!(
-            Auto.resolve(GlobalLatencyModel::Deterministic),
-            EngineMode::fastest_exact(GlobalLatencyModel::Deterministic)
-        );
-        // Explicit shard requests are clamped to the host's cores: on a
-        // single-core host Sharded(6) degrades to the plain oracle
-        // (Sharded(1)) instead of thrashing six threads…
-        assert_eq!(
-            ExecMode::Sharded(6).resolve_with(var, 1),
-            EngineMode::Sharded(1)
-        );
-        assert_eq!(
-            ExecMode::Sharded(6).resolve_with(var, 4),
-            EngineMode::Sharded(4)
-        );
-        // …requests within the host's budget run verbatim…
-        assert_eq!(
-            ExecMode::Sharded(3).resolve_with(var, 8),
-            EngineMode::Sharded(3)
-        );
-        // …and the uncapped path honors the request for tests that
-        // deliberately oversubscribe.
-        assert_eq!(
-            ExecMode::Sharded(6).resolve_uncapped(var),
-            EngineMode::Sharded(6)
-        );
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub mod schedule;
 pub use formulation::{build, edge_infos, EdgeInfo, Formulation, FormulationKind};
 pub use multichunk::{multi_chunk_peaks, plan_multi_chunk, MultiChunkPlan};
 pub use schedule::{
-    asap_schedule, cert_edges, certify_schedule, peak_occupancy, validate_schedule, Schedule,
+    asap_schedule, cert_edges, certify_and_raise, certify_schedule, peak_occupancy,
+    validate_schedule, Schedule,
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,12 +176,6 @@ pub fn optimize(graph: &DataflowGraph, config: &OptimizeConfig) -> Result<Schedu
     };
     // Certify the single-chunk discrete envelope and absorb any
     // discretization transient the fluid formulation under-sized.
-    let cert = schedule::certify_schedule(&edges, &schedule, 1, 1);
-    for ec in &cert.edges {
-        if !ec.accepted {
-            schedule.buffer_sizes[ec.edge] = ec.certified_peak;
-        }
-    }
-    schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
+    certify_and_raise(&edges, &mut schedule, 1, 1);
     Ok(schedule)
 }

@@ -147,6 +147,21 @@ pub fn certify_schedule(
     )
 }
 
+/// Certifies `schedule` over the chunk lattice `start + c·period` for
+/// `n_chunks` chunks ([`certify_schedule`]), raises every bound the
+/// certificate rejects to its certified peak, and re-totals the buffers.
+/// A certified peak does not depend on the bound it is checked against,
+/// so the raised schedule certifies without another pass.
+pub fn certify_and_raise(edges: &[EdgeInfo], schedule: &mut Schedule, period: u64, n_chunks: u64) {
+    let cert = certify_schedule(edges, schedule, period, n_chunks);
+    for ec in &cert.edges {
+        if !ec.accepted {
+            schedule.buffer_sizes[ec.edge] = ec.certified_peak;
+        }
+    }
+    schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
+}
+
 /// Validates that `schedule`'s buffer sizes cover the exact discrete
 /// peak occupancy of every edge (single chunk). Returns the first
 /// violating edge index.

@@ -7,10 +7,9 @@
 //! workspace, and until now its central liveness claim — *a waitlisted
 //! tenant always eventually fits, so the waitlist always drains* — was
 //! a code comment backed by stress tests. These models turn the claims
-//! into machine-checked certificates the same way the sharded engine's
-//! SPSC ring and park/wake handshakes are certified: every interleaving
-//! of a faithful bounded model is explored, so a pass is a proof over
-//! the model, not a sampling. Crucially, the models call the *shipped*
+//! into machine-checked certificates: every interleaving of a faithful
+//! bounded model is explored, so a pass is a proof over the model, not
+//! a sampling. Crucially, the models call the *shipped*
 //! decision logic — [`wfq_pick`], [`queued_admission`], [`admit_fifo`],
 //! [`pop_wakes_scheduler`], [`tenant_finished`], and the real
 //! [`TokenLedger`] sit inside the model states — so the certificates

@@ -13,12 +13,11 @@
 //!
 //! [`step_stage`] is the *only* place simulated work happens; the
 //! cycle-accurate oracle calls it for every stage on every cycle
-//! (through [`EngineState::step_cycle`]), the event-driven engine for
-//! the cycles it cannot prove uneventful, and the sharded engine for the
-//! stages each thread owns. Keeping one stepper is what makes the
-//! engines bit-identical by construction: the fast paths never
-//! re-implement semantics — they only skip provably-repeating spans
-//! (event) or swap how edge buffers are reached ([`EdgeIo`], shard).
+//! (through [`EngineState::step_cycle`]) and the event-driven engine for
+//! the cycles it cannot prove uneventful. Keeping one stepper is what
+//! makes the engines bit-identical by construction: the fast path never
+//! re-implements semantics — it only skips provably-repeating spans,
+//! watching the stepper's transfers through an [`EdgeIo`].
 //!
 //! The event engine's skips share one mechanism: a [`Snapshot`] taken
 //! at the start of an observed span, and [`EngineState::fast_forward`],
@@ -49,7 +48,7 @@ use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
 /// whole and fractional parts so a step needs no division; the
 /// accumulator's phase lives in the run's [`StageState`].
 #[derive(Debug, Clone, Copy)]
-pub(super) struct RateAcc {
+struct RateAcc {
     /// `num / den`: elements every step emits.
     whole: u64,
     /// `num % den`: what the phase gains each step.
@@ -92,7 +91,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 /// What one stage does in every run of a design.
 #[derive(Debug, Clone)]
-pub(super) struct StageLayout {
+struct StageLayout {
     kind: OpKind,
     /// Pipeline depth: write-phase gate offset from the chunk issue.
     depth: u64,
@@ -110,16 +109,16 @@ pub(super) struct StageLayout {
 }
 
 impl StageLayout {
-    pub(super) fn in_slots(&self) -> Range<usize> {
+    fn in_slots(&self) -> Range<usize> {
         self.first_in..self.first_out
     }
 
-    pub(super) fn out_slots(&self) -> Range<usize> {
+    fn out_slots(&self) -> Range<usize> {
         self.first_out..self.end
     }
 
     /// Every slot of the stage: in-edges, then out-edges.
-    pub(super) fn slots(&self) -> Range<usize> {
+    fn slots(&self) -> Range<usize> {
         self.first_in..self.end
     }
 
@@ -141,16 +140,16 @@ impl StageLayout {
 /// on the same layout.
 #[derive(Debug, Clone)]
 pub struct EngineLayout {
-    pub(super) stages: Vec<StageLayout>,
+    stages: Vec<StageLayout>,
     /// Each stage's in-edges then out-edges, stage after stage: the edge
     /// behind every count of [`EngineState::remaining`].
-    pub(super) slot_edges: Vec<usize>,
+    slot_edges: Vec<usize>,
     /// Stage visit order within a cycle: consumers before producers, so
     /// a same-cycle read frees the space a same-cycle write needs —
     /// matching the fluid simultaneity the ILP occupancy model assumes.
-    pub(super) order: Vec<usize>,
+    order: Vec<usize>,
     /// Per-edge chunk volume (`W_P`), indexed like the buffers.
-    pub(super) edge_volume: Vec<u64>,
+    edge_volume: Vec<u64>,
 }
 
 impl EngineLayout {
@@ -241,13 +240,13 @@ impl StageState {
         self.start + chunk * ii
     }
 
-    pub(super) fn active(&self, now: u64, n_chunks: u64, ii: u64) -> bool {
+    fn active(&self, now: u64, n_chunks: u64, ii: u64) -> bool {
         self.chunk < n_chunks && now >= self.issue(self.chunk, ii)
     }
 
     /// Advances the slowdown accumulator; `true` when the stage may work
     /// this cycle.
-    pub(super) fn tick(&mut self) -> bool {
+    fn tick(&mut self) -> bool {
         self.slow_acc += self.slow_num;
         if self.slow_acc >= self.slow_den {
             self.slow_acc -= self.slow_den;
@@ -268,26 +267,24 @@ pub(super) enum Step {
     Overflow,
 }
 
-/// How [`step_stage`] reaches an edge's buffer. The oracle and event
-/// engine back every edge with the local [`LineBuffer`] ([`SeqIo`]); the
-/// sharded engine backs cross-shard edges with SPSC channels instead.
-/// Implementations must preserve the buffer contract exactly: `read`
-/// returns `min(need, occupancy)`, `free` the space left *after* the
-/// consumer's same-cycle read, `write` never exceeds `free`.
+/// How [`step_stage`] reaches an edge's [`LineBuffer`]. Every
+/// implementation keeps the buffer contract exactly: `read` returns
+/// `min(need, occupancy)`, `free` the space left *after* the consumer's
+/// same-cycle read, `write` never exceeds `free`.
 ///
-/// The event engine's [`ClampIo`] notes whether a plain step clamped,
-/// and its [`WatchIo`] records every clamp and margin it needs to
-/// certify a micro-period; the hooks below are no-ops elsewhere and,
-/// gated on [`EdgeIo::WATCH`], compile away on the oracle's and the
-/// sharded engine's paths.
-pub(super) trait EdgeIo {
+/// The oracle steps through [`SeqIo`]. The event engine's [`ClampIo`]
+/// notes whether a plain step clamped, and its [`WatchIo`] records every
+/// clamp and margin it needs to certify a micro-period; the hooks below
+/// are no-ops elsewhere and, gated on [`EdgeIo::WATCH`], compile away on
+/// the oracle's path.
+trait EdgeIo {
     /// Whether [`step_stage`] reports clamps and cap margins.
     const WATCH: bool = false;
-    /// Consumer side: drain up to `need` elements from edge `e` at
-    /// cycle `now`; returns how many were actually available.
-    fn read(&mut self, e: usize, need: u64, now: u64) -> u64;
-    /// Producer side: space left on edge `e` at cycle `now`.
-    fn free(&mut self, e: usize, now: u64) -> u64;
+    /// Consumer side: drain up to `need` elements from edge `e`; returns
+    /// how many were actually available.
+    fn read(&mut self, e: usize, need: u64) -> u64;
+    /// Producer side: space left on edge `e`.
+    fn free(&mut self, e: usize) -> u64;
     /// Producer side: commit `n` elements to edge `e` (space checked).
     fn write(&mut self, e: usize, n: u64);
     /// A transfer was cut below its rate accumulator's output by a
@@ -298,17 +295,17 @@ pub(super) trait EdgeIo {
     fn cap_slack(&mut self, _e: usize, _slack: u128) {}
 }
 
-/// [`EdgeIo`] over the in-place buffer vector — the sequential engines.
-pub(super) struct SeqIo<'a> {
-    pub(super) buffers: &'a mut [LineBuffer],
+/// [`EdgeIo`] over the in-place buffer vector — the oracle.
+struct SeqIo<'a> {
+    buffers: &'a mut [LineBuffer],
 }
 
 impl EdgeIo for SeqIo<'_> {
-    fn read(&mut self, e: usize, need: u64, _now: u64) -> u64 {
+    fn read(&mut self, e: usize, need: u64) -> u64 {
         self.buffers[e].read(need)
     }
 
-    fn free(&mut self, e: usize, _now: u64) -> u64 {
+    fn free(&mut self, e: usize) -> u64 {
         self.buffers[e].free()
     }
 
@@ -320,7 +317,7 @@ impl EdgeIo for SeqIo<'_> {
 /// [`SeqIo`] that also notes whether any transfer was clamped — the
 /// event engine's plain steps, whose outcome decides whether a span may
 /// open next.
-pub(super) struct ClampIo<'a> {
+struct ClampIo<'a> {
     buffers: &'a mut [LineBuffer],
     clamped: bool,
 }
@@ -328,13 +325,13 @@ pub(super) struct ClampIo<'a> {
 impl EdgeIo for ClampIo<'_> {
     const WATCH: bool = true;
 
-    fn read(&mut self, e: usize, need: u64, _now: u64) -> u64 {
+    fn read(&mut self, e: usize, need: u64) -> u64 {
         let got = self.buffers[e].read(need);
         self.clamped |= got < need;
         got
     }
 
-    fn free(&mut self, e: usize, _now: u64) -> u64 {
+    fn free(&mut self, e: usize) -> u64 {
         self.buffers[e].free()
     }
 
@@ -391,7 +388,7 @@ impl SpanWatch {
 
 /// [`SeqIo`] that also fills a [`SpanWatch`] — the event engine's
 /// observed micro-periods.
-pub(super) struct WatchIo<'a> {
+struct WatchIo<'a> {
     buffers: &'a mut [LineBuffer],
     watch: &'a mut SpanWatch,
 }
@@ -399,7 +396,7 @@ pub(super) struct WatchIo<'a> {
 impl EdgeIo for WatchIo<'_> {
     const WATCH: bool = true;
 
-    fn read(&mut self, e: usize, need: u64, _now: u64) -> u64 {
+    fn read(&mut self, e: usize, need: u64) -> u64 {
         let before = self.buffers[e].occupancy();
         let got = self.buffers[e].read(need);
         if got < need {
@@ -411,7 +408,7 @@ impl EdgeIo for WatchIo<'_> {
         got
     }
 
-    fn free(&mut self, e: usize, _now: u64) -> u64 {
+    fn free(&mut self, e: usize) -> u64 {
         self.buffers[e].free()
     }
 
@@ -437,13 +434,13 @@ impl EdgeIo for WatchIo<'_> {
 /// per *cycle* (distinct-cycle stall/starve semantics); byte/element
 /// tallies are deltas the caller folds into its monotone counters.
 #[derive(Debug, Default)]
-pub(super) struct CycleAcct {
-    pub(super) stalled: bool,
-    pub(super) starved: bool,
-    pub(super) sram_dynamic_bytes: u64,
-    pub(super) compute_elements: u64,
+struct CycleAcct {
+    stalled: bool,
+    starved: bool,
+    sram_dynamic_bytes: u64,
+    compute_elements: u64,
     /// Source-stage DRAM reads (bytes) this cycle.
-    pub(super) dram_read_bytes: u64,
+    dram_read_bytes: u64,
 }
 
 /// What the read-share cap allows one write of `want` elements.
@@ -490,7 +487,7 @@ fn read_share_cap(read_done: u64, read_total: u64, volume: u64, written: u64, wa
 /// alternating runs on a 2-vCPU Xeon host).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(super) fn step_stage<IO: EdgeIo>(
+fn step_stage<IO: EdgeIo>(
     layout: &EngineLayout,
     si: usize,
     stage: &mut StageState,
@@ -518,7 +515,7 @@ pub(super) fn step_stage<IO: EdgeIo>(
             if need == 0 {
                 continue;
             }
-            let got = io.read(e, need, now);
+            let got = io.read(e, need);
             acct.sram_dynamic_bytes += got * config.bytes_per_element;
             remaining[slot] -= got;
             max_read = max_read.max(got);
@@ -579,7 +576,7 @@ pub(super) fn step_stage<IO: EdgeIo>(
                 if n == 0 {
                     continue;
                 }
-                let space = io.free(e, now);
+                let space = io.free(e);
                 let accepted = n.min(space);
                 if accepted < n {
                     if IO::WATCH {
@@ -706,28 +703,24 @@ fn spans_within(slack: u64, drift: u64) -> u64 {
 }
 
 /// One run's mutable state over its design's [`EngineLayout`], shared by
-/// the cycle oracle, the event-driven engine, and (split apart, then
-/// merged back) the sharded engine.
+/// the cycle oracle and the event-driven engine.
 pub(super) struct EngineState<'l> {
-    pub(super) layout: &'l EngineLayout,
+    layout: &'l EngineLayout,
     pub(super) stages: Vec<StageState>,
     /// Elements left this chunk on every slot of the layout.
-    pub(super) remaining: Vec<u64>,
+    remaining: Vec<u64>,
     pub(super) buffers: Vec<LineBuffer>,
-    pub(super) dram: DramModel,
+    dram: DramModel,
     pub(super) ii: u64,
-    pub(super) n_chunks: u64,
+    n_chunks: u64,
     pub(super) now: u64,
-    pub(super) stall_cycles: u64,
-    pub(super) starved_cycles: u64,
+    stall_cycles: u64,
+    starved_cycles: u64,
     overflow_edge: Option<usize>,
-    pub(super) sram_dynamic_bytes: u64,
-    pub(super) compute_elements: u64,
+    sram_dynamic_bytes: u64,
+    compute_elements: u64,
     /// Cycles advanced one at a time (see [`RunReport::stepped_cycles`]).
-    pub(super) stepped_cycles: u64,
-    /// Backoff telemetry merged back from the sharded engine's threads
-    /// (zeros on the sequential paths).
-    pub(super) backoff: BackoffStats,
+    stepped_cycles: u64,
 }
 
 impl<'l> EngineState<'l> {
@@ -800,7 +793,6 @@ impl<'l> EngineState<'l> {
             sram_dynamic_bytes: 0,
             compute_elements: 0,
             stepped_cycles: 0,
-            backoff: BackoffStats::default(),
         }
     }
 
@@ -1226,7 +1218,7 @@ impl<'l> EngineState<'l> {
             dram_write_bytes: self.dram.write_bytes(),
             energy,
             stepped_cycles: self.stepped_cycles,
-            backoff: self.backoff,
+            backoff: BackoffStats::default(),
         }
     }
 }

@@ -9,35 +9,20 @@ use serde::{Deserialize, Serialize};
 
 use crate::energy::EnergyBreakdown;
 
-/// Backoff telemetry from the sharded engine's wait loops: how often a
-/// blocked shard spun, yielded, parked, and how many wakes publishers
-/// issued to parked peers. All zeros for the sequential engines (and for
-/// a sharded run that aborted and replayed on the oracle).
-///
-/// These counters describe **host scheduling**, not simulated behavior:
-/// the same design point produces different counts run to run. They are
-/// therefore excluded from [`RunReport`]'s equality — bit-identity
-/// assertions compare simulated results only.
+/// Four counters that always read zero. A placeholder that keeps the
+/// benchmark harness (`perfbench`, which sums them into its
+/// `sim.backoff.*` metrics) building; it goes once the benchmark drops
+/// its sharded metrics. Excluded from [`RunReport`]'s equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackoffStats {
-    /// Tier-1 `spin_loop` iterations across all waits.
+    /// Always zero.
     pub spins: u64,
-    /// Tier-2 `yield_now` calls across all waits.
+    /// Always zero.
     pub yields: u64,
-    /// Tier-3 condvar parks (a shard thread actually slept).
+    /// Always zero.
     pub parks: u64,
-    /// Wakes issued by publishers that observed a parked peer.
+    /// Always zero.
     pub wakes: u64,
-}
-
-impl BackoffStats {
-    /// Accumulates another shard's (or frame's) counters into this one.
-    pub fn merge(&mut self, other: &BackoffStats) {
-        self.spins += other.spins;
-        self.yields += other.yields;
-        self.parks += other.parks;
-        self.wakes += other.wakes;
-    }
 }
 
 /// Result of one engine run.
@@ -75,21 +60,20 @@ pub struct RunReport {
     pub energy: EnergyBreakdown,
     /// Cycles the engine advanced one at a time through its per-cycle
     /// stepper; the rest it skipped in closed form. Equals
-    /// [`RunReport::cycles`] on the oracle and the sharded engine; the
-    /// event engine's count measures how much of the run it could skip.
+    /// [`RunReport::cycles`] on the oracle; the event engine's count
+    /// measures how much of the run it could skip.
     /// Describes **how** the engine ran, not what it simulated, and is
     /// therefore **excluded from equality**.
     pub stepped_cycles: u64,
-    /// Sharded-engine backoff telemetry (zeros for sequential engines).
-    /// Host-timing-dependent and **excluded from equality**.
+    /// Always zero: the placeholder [`BackoffStats`] that the benchmark
+    /// harness reads. **Excluded from equality.**
     pub backoff: BackoffStats,
 }
 
 /// Manual equality that deliberately skips [`RunReport::stepped_cycles`]
 /// and [`RunReport::backoff`]: the step count differs by engine and the
-/// backoff counters vary with host scheduling, while every engine test
-/// asserts `oracle == event` and `oracle == sharded` on the simulated
-/// results.
+/// placeholder counters simulate nothing, while every engine test
+/// asserts `oracle == event` on the simulated results.
 impl PartialEq for RunReport {
     fn eq(&self, other: &Self) -> bool {
         self.cycles == other.cycles

@@ -37,7 +37,7 @@ pub use dram::DramModel;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use engine::{
     run, run_with, BackoffStats, BufferPolicy, EngineConfig, EngineLayout, EngineMode,
-    GlobalLatencyModel, RingParams, RunReport,
+    GlobalLatencyModel, RunReport,
 };
 pub use linebuffer::LineBuffer;
 pub use priors::{HwBudget, PriorReport, WorkloadProfile};

@@ -12,7 +12,10 @@
 
 use serde::{Deserialize, Serialize};
 use streamgrid_dataflow::DataflowGraph;
-use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig, OptimizeError};
+use streamgrid_optimizer::{
+    certify_and_raise, edge_infos, optimize, plan_multi_chunk, EdgeInfo, MultiChunkPlan,
+    OptimizeConfig, OptimizeError, Schedule,
+};
 
 use crate::cache::CacheModel;
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -108,6 +111,28 @@ impl VariantConfig {
     }
 }
 
+/// Sizes `graph`'s buffers at `chunk_elements` as `compile_spec` does:
+/// the ILP solve, the latency margin `margin_cv` a non-DT design must
+/// carry, then every bound the certificate over `n_chunks` chunks at the
+/// plan's initiation interval rejects raised to its certified peak.
+fn provision(
+    graph: &DataflowGraph,
+    chunk_elements: u64,
+    n_chunks: u64,
+    margin_cv: Option<f64>,
+) -> Result<(Vec<EdgeInfo>, Schedule, MultiChunkPlan), OptimizeError> {
+    let edges = edge_infos(graph, chunk_elements);
+    let mut schedule = optimize(graph, &OptimizeConfig::new(chunk_elements))?;
+    let plan = plan_multi_chunk(graph, &edges);
+    if let Some(cv) = margin_cv {
+        for s in schedule.buffer_sizes.iter_mut() {
+            *s = (*s as f64 * (1.0 + cv)).ceil() as u64;
+        }
+    }
+    certify_and_raise(&edges, &mut schedule, plan.initiation_interval, n_chunks);
+    Ok((edges, schedule, plan))
+}
+
 /// Evaluates one variant of `graph` (the CS-transformed graph should
 /// already carry `window_chunks` on its global ops).
 ///
@@ -128,18 +153,10 @@ pub fn evaluate(
         Variant::Base | Variant::BaseCache => (config.total_elements, 1u64),
         Variant::Cs | Variant::CsDt => (cs_chunk_elements, n),
     };
-    let edges = edge_infos(graph, chunk_elements);
-    let mut schedule = optimize(graph, &OptimizeConfig::new(chunk_elements))?;
-    let plan = plan_multi_chunk(graph, &edges);
-
     // CS without DT cannot size buffers exactly offline: provision the
     // ILP result with a variability margin (the cost of non-determinism).
-    if matches!(variant, Variant::Cs | Variant::Base) {
-        for s in schedule.buffer_sizes.iter_mut() {
-            *s = (*s as f64 * (1.0 + config.latency_cv)).ceil() as u64;
-        }
-        schedule.total_buffer_elements = schedule.buffer_sizes.iter().sum();
-    }
+    let margin = matches!(variant, Variant::Cs | Variant::Base).then_some(config.latency_cv);
+    let (edges, schedule, plan) = provision(graph, chunk_elements, n_chunks, margin)?;
 
     let (latency, policy) = match variant {
         Variant::CsDt => (GlobalLatencyModel::Deterministic, BufferPolicy::Strict),
@@ -180,10 +197,9 @@ pub fn evaluate(
     if matches!(variant, Variant::BaseCache) {
         // Replace the line buffers with a cache of the size the CS+DT
         // design would use (the paper's "comparable on-chip buffer").
-        let csdt_elements =
-            optimize(graph, &OptimizeConfig::new(cs_chunk_elements))?.total_buffer_elements;
+        let (_, csdt, _) = provision(graph, cs_chunk_elements, n, None)?;
         let cache = CacheModel {
-            capacity_bytes: csdt_elements * config.bytes_per_element,
+            capacity_bytes: csdt.total_buffer_elements * config.bytes_per_element,
             ..CacheModel::default()
         };
         // Every intermediate edge streams its full volume through the

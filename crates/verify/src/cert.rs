@@ -93,9 +93,9 @@ pub struct EdgeCert {
 
 /// A machine-checkable occupancy certificate: one [`EdgeCert`] per
 /// edge, accepted iff every edge's worst-case discrete occupancy fits
-/// its provisioned bound. Because all execution engines share one
-/// stepper, one certificate covers cycle-accurate, event-driven, and
-/// sharded execution alike.
+/// its provisioned bound. Because both execution engines share one
+/// stepper, one certificate covers cycle-accurate and event-driven
+/// execution alike.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Certificate {
     /// Initiation interval of the chunk lattice (cycles).

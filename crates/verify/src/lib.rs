@@ -9,9 +9,9 @@
 //!    of every edge, it computes each buffer's worst-case *discrete*
 //!    occupancy over the multi-chunk issue lattice in pure integer
 //!    arithmetic and emits a machine-checkable [`Certificate`] that
-//!    occupancy never exceeds the ILP bound. All three execution
-//!    engines share one stepper, so one certificate covers
-//!    cycle-accurate, event-driven, and sharded execution.
+//!    occupancy never exceeds the ILP bound. Both execution engines
+//!    share one stepper, so one certificate covers cycle-accurate and
+//!    event-driven execution.
 //! 2. [`lint`] — the **pipeline linter**: structural and
 //!    configuration diagnostics ([`Diagnostic`], codes `SG001`–`SG005`)
 //!    over a dataflow graph plus its transform context — rate
@@ -23,14 +23,8 @@
 //!    zero dependencies) with modeled atomics/`Mutex`/`Condvar`, a
 //!    visited-state-memoized DFS with a sleep-set/partial-order
 //!    reduction, state-count budgets, and a [`Model`] trait stating
-//!    safety invariants and termination obligations. Protocol models in
-//!    this crate and in `streamgrid-serve` plug into it.
-//! 4. [`spsc`] — the sharded engine's protocol models on that harness:
-//!    the single-producer/single-consumer counter ring (counter
-//!    monotonicity, stale-read-is-lower-bound, the publish order that
-//!    makes `finished` trustworthy, the `t − RING_LEN + 1` flow-control
-//!    invariant) and the tiered backoff's park/wake handshake (no lost
-//!    wakeup).
+//!    safety invariants and termination obligations. The serving
+//!    layer's protocol models in `streamgrid-serve` plug into it.
 //!
 //! The crate depends only on `streamgrid-dataflow` (for [`Rate`]) so
 //! the optimizer, the core framework, the serving layer, and the bench
@@ -41,9 +35,7 @@
 pub mod cert;
 pub mod lint;
 pub mod mc;
-pub mod spsc;
 
 pub use cert::{certify, CertEdge, Certificate, EdgeCert};
 pub use lint::{bucketing_blowup, inert_qos_policy, lint_graph, Diagnostic, LintContext, Severity};
 pub use mc::{explore, McConfig, McReport, Model};
-pub use spsc::{check_spsc, SpscConfig, SpscReport};

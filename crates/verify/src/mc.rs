@@ -1,15 +1,13 @@
 //! `mc`: a reusable bounded-exhaustive model-checking harness.
 //!
-//! The bespoke explorers this crate grew one at a time — the SPSC ring
-//! checker and the park/wake checker in [`crate::spsc`] — shared the
-//! same skeleton: a small multi-threaded protocol model whose shared
-//! memory is part of a hashable state, a DFS over every interleaving
-//! with visited-state memoization, and a verdict that is a *proof over
-//! the bounded model* rather than a sampled stress run. This module is
-//! that skeleton, factored once (loom-lite, zero dependencies, like
-//! everything else in `crates/verify`) so new protocols — the serving
-//! layer's dispatch, admission, and scheduling protocols in
-//! `streamgrid-serve` — state a [`Model`] and inherit the explorer.
+//! A protocol model is a small multi-threaded program whose shared
+//! memory is part of a hashable state; the harness runs a DFS over every
+//! interleaving with visited-state memoization, so its verdict is a
+//! *proof over the bounded model* rather than a sampled stress run
+//! (loom-lite, zero dependencies, like everything else in
+//! `crates/verify`). The serving layer's dispatch, admission, and
+//! scheduling protocols in `streamgrid-serve` each state a [`Model`]
+//! and inherit the explorer.
 //!
 //! What the harness provides:
 //!
@@ -39,18 +37,14 @@
 //!   default to `false`, making the default exploration plainly
 //!   exhaustive.
 //!
-//! Shared-memory building blocks ([`McMutex`], [`McCondvar`],
-//! [`McAtomicU64`]) model the `std::sync` primitives the real protocols
-//! use. Sequentially-consistent atomics need no machinery beyond the
-//! explorer itself — every interleaving of their accesses is explored —
-//! so [`McAtomicU64`] is a thin, intention-revealing wrapper; *relaxed*
-//! effects (stale reads) are modeled per-protocol, the way the SPSC
-//! ring model derives every coherence-valid load from thread progress.
-//! Condvars deliberately have **no spurious wakeups**: a protocol
-//! proven deadlock-free here is deadlock-free without relying on them
-//! (spurious wakeups can only rescue a deadlock, never cause one), and
-//! the sim engine's 20 ms defensive park timeout is likewise excluded —
-//! the handshake must be correct on its own.
+//! Shared-memory building blocks ([`McMutex`], [`McCondvar`]) model the
+//! `std::sync` primitives the real protocols use. Sequentially-consistent
+//! shared fields need no machinery beyond the explorer itself — every
+//! interleaving of their accesses is explored — so a model keeps them as
+//! plain state fields. Condvars deliberately have **no spurious
+//! wakeups**: a protocol proven deadlock-free here is deadlock-free
+//! without relying on them (spurious wakeups can only rescue a deadlock,
+//! never cause one).
 //!
 //! # Examples
 //!
@@ -400,38 +394,6 @@ impl McCondvar {
     }
 }
 
-/// A modeled sequentially-consistent atomic counter. The harness
-/// explores every interleaving of accesses, which *is* SeqCst
-/// semantics; the wrapper only marks which state fields are shared.
-/// Relaxed/stale behavior is modeled per-protocol (the SPSC ring model
-/// enumerates every coherence-valid lagging value instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct McAtomicU64(u64);
-
-impl McAtomicU64 {
-    /// An atomic holding `v`.
-    pub const fn new(v: u64) -> Self {
-        McAtomicU64(v)
-    }
-
-    /// SeqCst load.
-    pub fn load(&self) -> u64 {
-        self.0
-    }
-
-    /// SeqCst store.
-    pub fn store(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    /// SeqCst fetch-add, returning the previous value.
-    pub fn fetch_add(&mut self, v: u64) -> u64 {
-        let prev = self.0;
-        self.0 += v;
-        prev
-    }
-}
-
 /// Exhaustively explores `model` within `config`'s budget.
 ///
 /// DFS over interleavings with visited-state memoization; verdicts are
@@ -575,7 +537,8 @@ mod tests {
     #[derive(Clone, PartialEq, Eq, Hash, Debug)]
     struct CounterState {
         mutex: McMutex,
-        counter: McAtomicU64,
+        /// Shared; every interleaving of its accesses is explored.
+        counter: u64,
         /// Per-thread: (increments retired, pc) where pc 0 = acquire,
         /// 1 = loaded (racy only; holds the stale read), 2 = done-check.
         local: Vec<(u64, u8, u64)>,
@@ -595,7 +558,7 @@ mod tests {
         fn initial(&self) -> CounterState {
             CounterState {
                 mutex: McMutex::unlocked(),
-                counter: McAtomicU64::new(0),
+                counter: 0,
                 local: vec![(0, 0, 0); self.threads],
             }
         }
@@ -615,12 +578,12 @@ mod tests {
                 match pc {
                     0 => {
                         let mut n = s.clone();
-                        n.local[tid] = (done, 1, s.counter.load());
+                        n.local[tid] = (done, 1, s.counter);
                         out.push(n);
                     }
                     _ => {
                         let mut n = s.clone();
-                        n.counter.store(stale + 1);
+                        n.counter = stale + 1;
                         n.local[tid] = (done + 1, 0, 0);
                         out.push(n);
                     }
@@ -639,7 +602,7 @@ mod tests {
                 }
                 _ => {
                     let mut n = s.clone();
-                    n.counter.fetch_add(1);
+                    n.counter += 1;
                     n.mutex.unlock(tid);
                     n.local[tid] = (done + 1, 0, 0);
                     out.push(n);
@@ -654,11 +617,10 @@ mod tests {
 
         fn on_terminal(&self, s: &CounterState) -> Result<(), String> {
             let expected = self.threads as u64 * self.per_thread;
-            if s.counter.load() != expected {
+            if s.counter != expected {
                 return Err(format!(
-                    "lost update: {} retired increments but counter is {}",
-                    expected,
-                    s.counter.load()
+                    "lost update: {expected} retired increments but counter is {}",
+                    s.counter
                 ));
             }
             Ok(())

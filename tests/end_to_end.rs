@@ -161,6 +161,32 @@ fn variant_ordering_matches_paper() {
 }
 
 #[test]
+fn evaluate_provisions_what_compile_provisions() {
+    // `evaluate`'s CS+DT design point must provision exactly the buffers
+    // a compiled design carries, full-lattice certificate included; the
+    // Base+$ cache is sized from it. fig18_prior_comparison's Base+$
+    // configuration: classification, CS+DT `linear(4, 2)`, 3 × 4096
+    // elements.
+    let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
+    let elements = 4096 * 3;
+    let mut graph = AppDomain::Classification.spec().into_graph();
+    config.apply(&mut graph);
+    let cfg = VariantConfig {
+        macs_per_element: 2048.0,
+        ..VariantConfig::new(elements)
+    };
+    let energy = EnergyModel::default();
+    let csdt = evaluate(&graph, Variant::CsDt, &cfg, &energy).unwrap();
+    let cache = evaluate(&graph, Variant::BaseCache, &cfg, &energy).unwrap();
+    let compiled = StreamGrid::new(config)
+        .compile(AppDomain::Classification, elements)
+        .unwrap()
+        .summary();
+    assert_eq!(csdt.onchip_bytes, compiled.onchip_bytes);
+    assert_eq!(cache.onchip_bytes, compiled.onchip_bytes);
+}
+
+#[test]
 fn custom_pipeline_through_public_interface() {
     // A user-defined pipeline via the builder + session surface end to
     // end: the CS+DT transform sets the 2-chunk window on the global op,

@@ -1,25 +1,51 @@
-//! Allocation budget of a warm frame's execution.
+//! Allocation budgets of a warm frame.
 //!
 //! Under deterministic termination a design's engine layout (validated
 //! graph, stepping order, per-stage edge lists, rates and volumes) is
 //! built once when the design compiles, so a frame's
 //! `CompiledPipeline::execute` allocates only its run state, the event
 //! engine's two snapshots and span watch, and the report's two per-edge
-//! vectors. This test counts the allocations of one warm `execute` on
-//! the calling thread, with a counting global allocator, and holds them
-//! to [`BUDGET`] on `server-mix`'s six base designs and the
-//! 4608-element LiDAR registration design.
+//! vectors. A warm `Session::compile_frame` (a cache hit) allocates
+//! nothing, and a warm `Session::stream` adds only the frame's share of
+//! the report. These tests count allocations on the calling thread, with
+//! a counting global allocator, on `server-mix`'s six base designs and
+//! the 4608-element LiDAR registration design.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
+use streamgrid_core::session::Session;
+use streamgrid_core::source::{Frame, SizeBucketing, StreamOptions, SyntheticSource};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_sim::EngineMode;
 
 /// Most allocations one warm DT `execute` may make.
 const BUDGET: u64 = 16;
+
+/// The seven designs every budget runs on: `server-mix`'s six base
+/// designs and the 4608-element LiDAR registration design, all under
+/// CS+DT `linear(4, 2)`.
+const DESIGNS: [(AppDomain, u64); 7] = [
+    (AppDomain::Classification, 1200),
+    (AppDomain::Classification, 2400),
+    (AppDomain::Classification, 3600),
+    (AppDomain::Registration, 1200),
+    (AppDomain::Registration, 2400),
+    (AppDomain::Registration, 3600),
+    (AppDomain::Registration, 4608),
+];
+
+/// Frames in each budgeted `Session::stream`.
+const STREAM_FRAMES: u64 = 64;
+
+/// Most allocations a warm `Session::compile_frame` may make.
+const COMPILE_FRAME_CEILING: u64 = 0;
+
+/// Most allocations a warm 64-frame `Session::stream` may make: the
+/// measured count, 12 per frame plus the stream's two frame vectors.
+const STREAM_CEILING: u64 = 770;
 
 /// The system allocator, counting every allocation and reallocation made
 /// on the current thread (test threads run side by side).
@@ -67,20 +93,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
+fn csdt4() -> StreamGrid {
+    StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)))
+}
+
 #[test]
 fn warm_dt_execute_stays_within_its_allocation_budget() {
-    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
-    let designs = [
-        (AppDomain::Classification, 1200u64),
-        (AppDomain::Classification, 2400),
-        (AppDomain::Classification, 3600),
-        (AppDomain::Registration, 1200),
-        (AppDomain::Registration, 2400),
-        (AppDomain::Registration, 3600),
-        (AppDomain::Registration, 4608),
-    ];
+    let fw = csdt4();
     let mut over = Vec::new();
-    for (domain, elements) in designs {
+    for (domain, elements) in DESIGNS {
         let design = fw.compile(domain, elements).expect("preset compiles");
         let options = ExecuteOptions::for_domain(domain);
         let cold = design.execute(&options);
@@ -95,5 +116,44 @@ fn warm_dt_execute_stays_within_its_allocation_budget() {
         over.is_empty(),
         "over the budget of {BUDGET}:\n{}",
         over.join("\n")
+    );
+}
+
+#[test]
+fn warm_frames_stay_within_their_allocation_ceilings() {
+    let mut table = Vec::new();
+    let mut over = false;
+    for (domain, elements) in DESIGNS {
+        let mut session = csdt4().session(domain.spec());
+        let stream = |session: &mut Session| {
+            session
+                .stream(
+                    SyntheticSource::new(elements, STREAM_FRAMES),
+                    &StreamOptions::default(),
+                )
+                .expect("preset streams")
+        };
+        // The first stream solves and caches the design.
+        let cold = stream(&mut session);
+        let (frame, compile) = allocations(|| {
+            session.compile_frame(Frame::synthetic(0, elements), SizeBucketing::Exact)
+        });
+        assert_eq!(frame.expect("preset compiles").solves, 0);
+        let (warm, streamed) = allocations(|| stream(&mut session));
+        assert!(
+            warm.frames == cold.frames,
+            "{domain:?} at {elements}: frames differ"
+        );
+        assert_eq!(warm.solver_invocations, 0);
+        over |= compile > COMPILE_FRAME_CEILING || streamed > STREAM_CEILING;
+        table.push(format!(
+            "{domain:?} at {elements}: compile_frame {compile}, stream {streamed}"
+        ));
+    }
+    assert!(
+        !over,
+        "over a ceiling (compile_frame {COMPILE_FRAME_CEILING}, \
+         {STREAM_FRAMES}-frame stream {STREAM_CEILING}); measured:\n{}",
+        table.join("\n")
     );
 }

@@ -2,11 +2,9 @@
 //! termination the event-driven engine must reproduce the cycle-accurate
 //! oracle's `RunReport` **bit for bit** — on every paper preset, on
 //! randomly generated DAG schedules, and under cycle-budget truncation.
-//! The sharded engine is held to the same contract at every shard count
-//! (it must be exact under *any* latency model, not just DT).
 //!
-//! This is the contract `streamgrid_sim::engine::{event, shard}` is held
-//! to; any divergence here means a fast path changed semantics, not just
+//! This is the contract `streamgrid_sim::engine::event` is held to; any
+//! divergence here means the fast path changed semantics, not just
 //! speed.
 
 use proptest::prelude::*;
@@ -20,11 +18,6 @@ use streamgrid_sim::{
     run_with, BackoffStats, BufferPolicy, EnergyModel, EngineConfig, EngineLayout, EngineMode,
 };
 
-/// Shard counts the sharded engine is swept over: degenerate (1),
-/// small multi-shard splits (2, 4), and more shards than some designs
-/// have stages (8) so the never-empty-cut clamp is exercised.
-const SHARD_SWEEP: [u32; 4] = [1, 2, 4, 8];
-
 /// Sizes `server-mix` streams at four chunks: its three base sizes and a
 /// late compile key of each (the benchmark shifts sizes by multiples of
 /// four elements). 1200 (4 × 300) is already in the sweep below.
@@ -32,7 +25,7 @@ const SERVER_MIX_SIZES: [u64; 5] = [2400, 3600, 1240, 2440, 3640];
 
 /// Every registry preset, across chunk counts spanning warm-up-only runs
 /// (1 chunk) to steady-state-dominated sweeps, and at the sizes
-/// `server-mix` runs: all engines, one report.
+/// `server-mix` runs: both engines, one report.
 #[test]
 fn registry_presets_equivalent_across_chunk_counts() {
     let registry = PipelineRegistry::with_paper_apps();
@@ -61,38 +54,16 @@ fn registry_presets_equivalent_across_chunk_counts() {
                 n_chunks,
                 elements
             );
-            // Only shard threads wait on each other. Equality skips the
-            // backoff counters, so the sequential engines' zeros are
-            // checked on their own.
+            // Equality skips the placeholder backoff counters the
+            // benchmark sums, so their zeros are checked on their own.
             for run in [&oracle.run, &event.run] {
                 assert_eq!(
                     run.backoff,
                     BackoffStats::default(),
-                    "{} at {} chunks, {} elements: a sequential engine counted backoff",
+                    "{} at {} chunks, {} elements: an engine counted backoff",
                     spec.name(),
                     n_chunks,
                     elements
-                );
-            }
-            for shards in SHARD_SWEEP {
-                // Clamp off: the sweep's point is running the *real*
-                // multi-shard engine even where the host has fewer
-                // cores (clamp policy is pinned in tests/shard_backoff.rs).
-                let sharded = compiled.execute(
-                    &ExecuteOptions::for_spec(spec)
-                        .with_exec_mode(ExecMode::Sharded(shards))
-                        .with_shard_clamp(false),
-                );
-                assert_eq!(sharded.exec_mode, EngineMode::Sharded(shards));
-                assert_eq!(sharded.exec_requested, ExecMode::Sharded(shards));
-                assert_eq!(
-                    oracle.run,
-                    sharded.run,
-                    "{} at {} chunks, {} elements / {} shards: sharded engine diverged",
-                    spec.name(),
-                    n_chunks,
-                    elements,
-                    shards
                 );
             }
             assert!(oracle.is_clean(), "{}: CS+DT must run clean", spec.name());
@@ -493,11 +464,6 @@ proptest! {
         let event = run_with(&g, &edges, &schedule, &plan, &energy, &full,
                              EngineMode::EventDriven);
         prop_assert_eq!(&oracle, &event, "full-budget divergence");
-        for shards in SHARD_SWEEP {
-            let sharded = run_with(&g, &edges, &schedule, &plan, &energy, &full,
-                                   EngineMode::Sharded(shards));
-            prop_assert_eq!(&oracle, &sharded, "sharded divergence at {} shards", shards);
-        }
 
         // Truncated runs must agree too: slice the budget to a fraction
         // of the observed run length.
@@ -511,12 +477,6 @@ proptest! {
         let event_t = run_with(&g, &edges, &schedule, &plan, &energy, &truncated,
                                EngineMode::EventDriven);
         prop_assert_eq!(&oracle_t, &event_t, "truncated-budget divergence");
-        for shards in SHARD_SWEEP {
-            let sharded_t = run_with(&g, &edges, &schedule, &plan, &energy, &truncated,
-                                     EngineMode::Sharded(shards));
-            prop_assert_eq!(&oracle_t, &sharded_t,
-                            "truncated sharded divergence at {} shards", shards);
-        }
         if budget_divisor > 1 && oracle_t.overflow_edge.is_none() && oracle_t.cycles < oracle.cycles {
             prop_assert!(oracle_t.truncated, "partial run must be flagged");
         }

@@ -68,6 +68,7 @@ fn fold_run(h: &mut Fnv, r: &RunReport) {
         energy,
         // How the engine ran, not what it simulated: outside equality.
         stepped_cycles: _,
+        // A placeholder that always reads zero: outside equality.
         backoff: _,
     } = r;
     h.word(*cycles);

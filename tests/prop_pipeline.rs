@@ -1,15 +1,13 @@
 //! Property-based tests on the optimizer ↔ simulator contract: any
 //! random valid linear pipeline, once scheduled by the ILP, must run on
-//! the cycle-level engine without stalls or overflows — and the sharded
-//! engine must stay inside the same fluid/ILP envelope bit for bit at
-//! every shard count.
+//! the cycle-level engine without stalls or overflows.
 
 use proptest::prelude::*;
 use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_optimizer::{
     edge_infos, optimize, plan_multi_chunk, validate_schedule, OptimizeConfig,
 };
-use streamgrid_sim::{run, run_with, EnergyModel, EngineConfig, EngineMode};
+use streamgrid_sim::{run, EnergyModel, EngineConfig};
 
 /// A random stage descriptor: (kind, points-per-burst, depth, reuse).
 #[derive(Debug, Clone)]
@@ -120,20 +118,6 @@ proptest! {
         prop_assert_eq!(report.stall_cycles, 0, "stall on a valid schedule");
         for (peak, cap) in report.buffer_peaks.iter().zip(&report.buffer_capacities) {
             prop_assert!(peak <= cap);
-        }
-        // The sharded engine must reproduce the same report — and hence
-        // the same envelope — regardless of how the stages are cut.
-        for shards in [1u32, 2, 5, 8] {
-            let sharded = run_with(
-                &g,
-                &edges,
-                &schedule,
-                &plan,
-                &EnergyModel::default(),
-                &EngineConfig { n_chunks, ..EngineConfig::default() },
-                EngineMode::Sharded(shards),
-            );
-            prop_assert_eq!(&report, &sharded, "divergence at {} shards", shards);
         }
     }
 }

@@ -184,8 +184,8 @@ fn waitlisted_tenants_are_admitted_fifo_as_tokens_free() {
 /// and 3 (watermark 0, every pop wakes, the first pop that skips its
 /// wake) with 1 to 3 workers. Each run happens on its own thread and
 /// must report inside a generous wall budget relative to the same work
-/// done directly (the `tests/shard_backoff.rs` budget idiom), so a lost
-/// wakeup fails the test instead of hanging it.
+/// done directly, so a lost wakeup fails the test instead of hanging
+/// it.
 #[test]
 fn saturated_classes_with_tiny_queues_never_deadlock() {
     let frames = 5u64;
