@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the core kernels: neighbor search
 //! variants (the Base vs CS vs CS+DT spectrum), sorting variants, the
-//! line-buffer ILP solve, both certifications a compile pays, the
+//! line-buffer ILP solve, the certification a compile pays, the
 //! cycle-level engine's simulation rate, the whole per-frame `execute`
 //! call, and the LiDAR scanner's cost per sweep.
 
@@ -9,9 +9,7 @@ use std::hint::black_box;
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
-use streamgrid_optimizer::{
-    certify_schedule, edge_infos, optimize, plan_multi_chunk, OptimizeConfig,
-};
+use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk};
 use streamgrid_pointcloud::datasets::lidar::{scan, trajectory, LidarConfig, Scene};
 use streamgrid_pointcloud::{Aabb, ChunkGrid, GridDims, Point3, WindowSpec};
 use streamgrid_sim::{run, run_with, EnergyModel, EngineConfig, EngineMode};
@@ -112,22 +110,23 @@ fn bench_sort(c: &mut Criterion) {
 }
 
 fn bench_optimizer(c: &mut Criterion) {
+    // The solve alone: formulation and ILP, with the edges derived
+    // outside the loop and no certificate.
     let mut g = c.benchmark_group("line_buffer_ilp");
     for domain in AppDomain::ALL {
         let mut graph = domain.spec().into_graph();
         StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)).apply(&mut graph);
+        let edges = edge_infos(&graph, 1200);
         g.bench_function(format!("{domain:?}"), |b| {
-            b.iter(|| black_box(optimize(&graph, &OptimizeConfig::new(1200)).unwrap()))
+            b.iter(|| black_box(optimize(&graph, &edges).unwrap()))
         });
     }
     g.finish();
 }
 
 fn bench_certify(c: &mut Criterion) {
-    // The two certifications every cold compile runs, on the designs
-    // `line_buffer_ilp` solves: `certify` times the full-lattice pass
-    // `compile_spec` runs, `certify_single_chunk` the single-chunk pass
-    // `optimize` runs after its solve.
+    // The one certification every cold compile runs, the full-lattice
+    // pass in `provision`, on the designs `line_buffer_ilp` solves.
     let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let designs: Vec<_> = AppDomain::ALL
         .into_iter()
@@ -137,13 +136,6 @@ fn bench_certify(c: &mut Criterion) {
     for (domain, compiled) in &designs {
         g.bench_function(format!("{domain:?}"), |b| {
             b.iter(|| black_box(compiled.certify()))
-        });
-    }
-    g.finish();
-    let mut g = c.benchmark_group("certify_single_chunk");
-    for (domain, compiled) in &designs {
-        g.bench_function(format!("{domain:?}"), |b| {
-            b.iter(|| black_box(certify_schedule(&compiled.edges, &compiled.schedule, 1, 1)))
         });
     }
     g.finish();
@@ -169,7 +161,7 @@ fn bench_engine(c: &mut Criterion) {
     StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)).apply(&mut graph);
     let elements = 1200u64;
     let edges = edge_infos(&graph, elements);
-    let schedule = optimize(&graph, &OptimizeConfig::new(elements)).unwrap();
+    let schedule = optimize(&graph, &edges).unwrap();
     let plan = plan_multi_chunk(&graph, &edges);
     let energy = EnergyModel::default();
     let mut g = c.benchmark_group("engine_cls");

@@ -7,9 +7,7 @@
 
 use streamgrid_core::apps::AppDomain;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
-use streamgrid_optimizer::{
-    edge_infos, multi_chunk_peaks, optimize, plan_multi_chunk, OptimizeConfig,
-};
+use streamgrid_optimizer::{edge_infos, multi_chunk_peaks, optimize, plan_multi_chunk};
 
 fn main() {
     streamgrid_bench::banner(
@@ -22,7 +20,7 @@ fn main() {
         StreamGridConfig::cs_dt(SplitConfig::linear(8, 2)).apply(&mut graph);
         let elements = 1200u64;
         let edges = edge_infos(&graph, elements);
-        let schedule = optimize(&graph, &OptimizeConfig::new(elements)).unwrap();
+        let schedule = optimize(&graph, &edges).unwrap();
         let plan = plan_multi_chunk(&graph, &edges);
         println!("{domain:?} (II = {} cycles):", plan.initiation_interval);
         println!(

@@ -35,8 +35,8 @@ fn main() {
         let edges = edge_infos(&graph, elements);
         let (_, asap) = asap_schedule(&graph, &edges);
         let limit = asap + graph.node_count() as f64 + 1.0;
-        let full = build(&graph, elements, FormulationKind::Full { stride: 1 }, limit);
-        let pruned = build(&graph, elements, FormulationKind::Pruned, limit);
+        let full = build(&graph, &edges, FormulationKind::Full { stride: 1 }, limit);
+        let pruned = build(&graph, &edges, FormulationKind::Pruned, limit);
         let t0 = Instant::now();
         let ps = pruned.model.solve().unwrap();
         let prune_time = t0.elapsed();
@@ -45,7 +45,7 @@ fn main() {
         // optimum matches.
         let thinned = build(
             &graph,
-            elements,
+            &edges,
             FormulationKind::Full { stride: 1024 },
             limit,
         );

@@ -5,8 +5,7 @@
 use serde::{Deserialize, Serialize};
 use streamgrid_dataflow::DataflowGraph;
 use streamgrid_optimizer::{
-    certify_and_raise, certify_schedule, edge_infos, optimize, plan_multi_chunk, EdgeInfo,
-    MultiChunkPlan, OptimizeConfig, Schedule,
+    certify_schedule, edge_infos, plan_multi_chunk, provision, EdgeInfo, MultiChunkPlan, Schedule,
 };
 use streamgrid_sim::{
     BufferPolicy, EnergyBreakdown, EnergyModel, EngineConfig, EngineLayout, EngineMode,
@@ -290,8 +289,11 @@ impl StreamGrid {
 
     /// Compiles a pipeline description for a cloud of `total_elements`
     /// source elements: applies the CS/DT transform, extracts
-    /// dependencies, solves the line-buffer ILP (exactly one solver
-    /// invocation), and plans multi-chunk issue.
+    /// dependencies, plans multi-chunk issue, and sizes the line buffers
+    /// with [`streamgrid_optimizer::provision`] — exactly one solver
+    /// invocation and one certificate, over the full lattice of
+    /// `n_chunks` chunks at the plan's initiation interval, so every
+    /// compiled design leaves here certified.
     ///
     /// Without deterministic termination the ILP sizes cannot be trusted
     /// at runtime — global-op latency varies — so the compiled design
@@ -307,28 +309,14 @@ impl StreamGrid {
         spec: &PipelineSpec,
         total_elements: u64,
     ) -> Result<CompiledPipeline, CompileError> {
-        self.assemble(
-            spec,
-            total_elements,
-            |graph, edges, plan, chunk_elements| {
-                let mut schedule = optimize(graph, &OptimizeConfig::new(chunk_elements))
-                    .map_err(CompileError::Optimize)?;
-                if self.config.termination.is_none() {
-                    for s in schedule.buffer_sizes.iter_mut() {
-                        *s = (*s as f64 * (1.0 + NON_DT_LATENCY_CV)).ceil() as u64;
-                    }
-                }
-                // Full-lattice certification: the optimizer certified a
-                // single chunk; the stream issues `n_chunks` at the plan's
-                // initiation interval, and the superposed transients can
-                // exceed the single-chunk peak by a few elements. Bump those
-                // edges so every compiled design leaves here with an
-                // accepting certificate.
-                let n_chunks = self.config.chunk_count();
-                certify_and_raise(edges, &mut schedule, plan.initiation_interval, n_chunks);
-                Ok(schedule)
-            },
-        )
+        let margin = self
+            .config
+            .termination
+            .is_none()
+            .then_some(NON_DT_LATENCY_CV);
+        self.assemble(spec, total_elements, |graph, edges, plan, n_chunks| {
+            provision(graph, edges, plan, n_chunks, margin).map_err(CompileError::Optimize)
+        })
     }
 
     /// Rebuilds the full compiled design around an already-solved
@@ -376,7 +364,7 @@ impl StreamGrid {
         debug_assert!(chunk_elements * n_chunks >= total_elements);
         let edges = edge_infos(&graph, chunk_elements);
         let plan = plan_multi_chunk(&graph, &edges);
-        let schedule = schedule(&graph, &edges, &plan, chunk_elements)?;
+        let schedule = schedule(&graph, &edges, &plan, n_chunks)?;
         let lints = lint_compiled(&graph, &self.config, chunk_elements, n_chunks);
         Ok(CompiledPipeline {
             layout: EngineLayout::new(&graph, &edges),

@@ -14,4 +14,4 @@ pub mod graph;
 pub mod shape;
 
 pub use graph::{DataflowGraph, EdgeId, GraphError, NodeId, OpKind, StageNode};
-pub use shape::{Rate, Shape};
+pub use shape::{Rate, RateAcc, Shape};

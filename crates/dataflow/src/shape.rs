@@ -49,7 +49,7 @@ pub struct Rate {
 }
 
 impl Rate {
-    /// Creates `num / den`, reduced to lowest terms.
+    /// Creates `num / den`, reduced to lowest terms (zero is `0 / 1`).
     ///
     /// # Panics
     ///
@@ -57,7 +57,7 @@ impl Rate {
     pub fn new(num: i64, den: i64) -> Self {
         assert!(den != 0, "zero denominator");
         assert!(num >= 0 && den > 0, "rates must be non-negative");
-        let g = gcd(num.max(1), den);
+        let g = gcd(num, den);
         Rate {
             num: num / g,
             den: den / g,
@@ -152,6 +152,65 @@ impl Ord for Rate {
     }
 }
 
+/// The integer allowance discipline of a [`Rate`]: a side moving
+/// `num / den` elements per cycle is allowed exactly `⌊k·num/den⌋`
+/// elements after `k` steps, never a fraction. The rate is pre-split
+/// into its whole and fractional parts so a step needs no division. The
+/// caller keeps the phase (`k·num mod den`), so one accumulator serves
+/// every track that moves at its rate. The execution engines and the
+/// certifier both step allowances through this type, so they cannot
+/// drift apart.
+///
+/// # Examples
+///
+/// ```
+/// use streamgrid_dataflow::{Rate, RateAcc};
+///
+/// let acc = RateAcc::new(Rate::new(3, 2));
+/// let mut phase = 0;
+/// let steps: Vec<u64> = (0..4).map(|_| acc.step(&mut phase)).collect();
+/// assert_eq!(steps, [1, 2, 1, 2]);
+/// assert_eq!(acc.period(), 2);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct RateAcc {
+    /// `num / den`: elements every step emits.
+    whole: u64,
+    /// `num % den`: what the phase gains each step.
+    frac: u64,
+    den: u64,
+}
+
+impl RateAcc {
+    /// The accumulator of `rate`.
+    pub fn new(rate: Rate) -> Self {
+        let (num, den) = (rate.num as u64, rate.den as u64);
+        RateAcc {
+            whole: num / den,
+            frac: num % den,
+            den,
+        }
+    }
+
+    /// Steps after which the phase repeats: `den`, since a [`Rate`] is
+    /// always reduced.
+    pub fn period(&self) -> u64 {
+        self.den
+    }
+
+    /// Elements this step emits; advances `phase`, which stays `< den`.
+    #[inline]
+    pub fn step(&self, phase: &mut u64) -> u64 {
+        *phase += self.frac;
+        if *phase >= self.den {
+            *phase -= self.den;
+            self.whole + 1
+        } else {
+            self.whole
+        }
+    }
+}
+
 fn gcd(a: i64, b: i64) -> i64 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
@@ -176,6 +235,7 @@ mod tests {
         let z = Rate::new(0, 5);
         assert!(z.is_zero());
         assert_eq!(z.as_f64(), 0.0);
+        assert_eq!((z.num(), z.den()), (0, 1));
     }
 
     #[test]

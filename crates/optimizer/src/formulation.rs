@@ -79,8 +79,6 @@ pub struct Formulation {
     pub t_vars: Vec<VarId>,
     /// Buffer-size variable of each edge (indexed by `EdgeId::index`).
     pub lb_vars: Vec<VarId>,
-    /// Derived constants per edge.
-    pub edges: Vec<EdgeInfo>,
     /// Number of dependency + sizing constraints generated.
     pub constraint_count: usize,
 }
@@ -127,19 +125,24 @@ pub fn edge_infos(graph: &DataflowGraph, source_elements: u64) -> Vec<EdgeInfo> 
         .collect()
 }
 
-/// Builds the ILP for a single-chunk pipeline.
+/// Builds the ILP for a single-chunk pipeline from `graph`'s per-edge
+/// constants at the chunk volume to schedule ([`edge_infos`]).
 ///
 /// `makespan_limit` (cycles) pins the performance target: the sink must
 /// finish reading by then. Pass the ASAP makespan for "highest
 /// throughput" (Sec. 5.1), or a larger value to trade latency for
 /// buffers.
+///
+/// # Panics
+///
+/// Panics unless `edges` holds one entry per edge of `graph`.
 pub fn build(
     graph: &DataflowGraph,
-    source_elements: u64,
+    edges: &[EdgeInfo],
     kind: FormulationKind,
     makespan_limit: f64,
 ) -> Formulation {
-    let edges = edge_infos(graph, source_elements);
+    assert_eq!(edges.len(), graph.edge_count(), "one EdgeInfo per edge");
     let mut model = Model::new();
     let t_vars: Vec<VarId> = graph
         .nodes()
@@ -276,7 +279,7 @@ pub fn build(
     }
 
     // Performance target: every consumer finishes reading by the limit.
-    for e in &edges {
+    for e in edges {
         let tc = t_vars[e.consumer.index()];
         model.add_constraint(
             &format!("makespan_{}", graph.node(e.consumer).name),
@@ -298,7 +301,6 @@ pub fn build(
         model,
         t_vars,
         lb_vars,
-        edges,
         constraint_count,
     }
 }
@@ -322,7 +324,7 @@ mod tests {
     #[test]
     fn pruned_chain_solves_small() {
         let g = chain();
-        let f = build(&g, 300, FormulationKind::Pruned, 1_000.0);
+        let f = build(&g, &edge_infos(&g, 300), FormulationKind::Pruned, 1_000.0);
         let sol = f.model.solve().unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         // Matched rates: buffers stay at the functional minimum (3
@@ -333,8 +335,9 @@ mod tests {
     #[test]
     fn full_formulation_same_optimum_many_more_constraints() {
         let g = chain();
-        let pruned = build(&g, 300, FormulationKind::Pruned, 1_000.0);
-        let full = build(&g, 300, FormulationKind::Full { stride: 1 }, 1_000.0);
+        let edges = edge_infos(&g, 300);
+        let pruned = build(&g, &edges, FormulationKind::Pruned, 1_000.0);
+        let full = build(&g, &edges, FormulationKind::Full { stride: 1 }, 1_000.0);
         assert!(
             full.constraint_count > 10 * pruned.constraint_count,
             "{} vs {}",
@@ -354,7 +357,7 @@ mod tests {
         let sink = g.sink("sink", Shape::new(1, 3), 1);
         g.connect(src, knn);
         g.connect(knn, sink);
-        let f = build(&g, 900, FormulationKind::Pruned, 100_000.0);
+        let f = build(&g, &edge_infos(&g, 900), FormulationKind::Pruned, 100_000.0);
         let sol = f.model.solve().unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         // The src→knn buffer must hold all 900 elements.
@@ -371,7 +374,7 @@ mod tests {
         g.set_window_chunks(knn, 2);
         g.connect(src, knn);
         g.connect(knn, sink);
-        let f = build(&g, 300, FormulationKind::Pruned, 100_000.0);
+        let f = build(&g, &edge_infos(&g, 300), FormulationKind::Pruned, 100_000.0);
         let sol = f.model.solve().unwrap();
         let lb0 = sol.value(f.lb_vars[0]);
         assert!(lb0 >= 600.0 - 1e-6, "window of 2 chunks: lb0 = {lb0}");
@@ -387,7 +390,7 @@ mod tests {
         let sink = g.sink("sink", Shape::new(1, 1), 1);
         g.connect(src, slow);
         g.connect(slow, sink);
-        let f = build(&g, 400, FormulationKind::Pruned, 10_000.0);
+        let f = build(&g, &edge_infos(&g, 400), FormulationKind::Pruned, 10_000.0);
         let sol = f.model.solve().unwrap();
         // Writing 400 elements takes 100 cycles; reading takes 400. The
         // consumer can start immediately, so peak occupancy ≈ W·(1−τin/τout)
@@ -399,7 +402,7 @@ mod tests {
     #[test]
     fn tight_makespan_is_infeasible_when_too_small() {
         let g = chain();
-        let f = build(&g, 300, FormulationKind::Pruned, 10.0);
+        let f = build(&g, &edge_infos(&g, 300), FormulationKind::Pruned, 10.0);
         let sol = f.model.solve().unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }

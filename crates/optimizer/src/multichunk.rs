@@ -100,7 +100,7 @@ pub fn multi_chunk_peaks(
 mod tests {
     use super::*;
     use crate::formulation::edge_infos;
-    use crate::{optimize, OptimizeConfig};
+    use crate::optimize;
     use streamgrid_dataflow::Shape;
 
     /// Unbalanced chain: a fast scaling stage feeding a slow MLP.
@@ -131,7 +131,7 @@ mod tests {
     fn bubbles_keep_single_chunk_buffers() {
         let g = unbalanced();
         let edges = edge_infos(&g, 200);
-        let schedule = optimize(&g, &OptimizeConfig::new(200)).unwrap();
+        let schedule = optimize(&g, &edges).unwrap();
         let plan = plan_multi_chunk(&g, &edges);
         let single = multi_chunk_peaks(&edges, &schedule, &plan, 1, true);
         let bubbled = multi_chunk_peaks(&edges, &schedule, &plan, 6, true);
@@ -147,7 +147,7 @@ mod tests {
     fn unbubbled_buffers_grow() {
         let g = unbalanced();
         let edges = edge_infos(&g, 200);
-        let schedule = optimize(&g, &OptimizeConfig::new(200)).unwrap();
+        let schedule = optimize(&g, &edges).unwrap();
         let plan = plan_multi_chunk(&g, &edges);
         let bubbled = multi_chunk_peaks(&edges, &schedule, &plan, 6, true);
         let unbubbled = multi_chunk_peaks(&edges, &schedule, &plan, 6, false);

@@ -239,7 +239,7 @@ impl EngineLayout {
 mod tests {
     use super::*;
     use streamgrid_dataflow::Shape;
-    use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig};
+    use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk};
 
     fn pipeline() -> DataflowGraph {
         let mut g = DataflowGraph::new();
@@ -258,7 +258,7 @@ mod tests {
     fn setup(elements: u64) -> (DataflowGraph, Vec<EdgeInfo>, Schedule, MultiChunkPlan) {
         let g = pipeline();
         let edges = edge_infos(&g, elements);
-        let schedule = optimize(&g, &OptimizeConfig::new(elements)).unwrap();
+        let schedule = optimize(&g, &edges).unwrap();
         let plan = plan_multi_chunk(&g, &edges);
         (g, edges, schedule, plan)
     }
@@ -638,7 +638,7 @@ mod tests {
         g.connect(a, b);
         g.connect(b, sink);
         let edges = edge_infos(&g, 100);
-        let mut schedule = optimize(&g, &OptimizeConfig::new(100)).unwrap();
+        let mut schedule = optimize(&g, &edges).unwrap();
         // Issue every stage eagerly at cycle 0: the ILP would stagger the
         // starts to hide the rate mismatch, but this test wants sustained
         // starvation, with a, b, and the sink all starving on the same

@@ -1,6 +1,6 @@
-//! Shared execution state: the per-design engine layout, integer-exact
-//! rate accumulators, and the single-cycle stepper that every engine
-//! drives.
+//! Shared execution state: the per-design engine layout and the
+//! single-cycle stepper that every engine drives, advancing each rate
+//! through the integer-exact [`RateAcc`] the certifier also steps.
 //!
 //! A run splits into what its design fixes and what the run changes.
 //! [`EngineLayout`] holds the first — the validated graph's stepping
@@ -33,7 +33,7 @@ use std::ops::Range;
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use streamgrid_dataflow::{DataflowGraph, OpKind, Rate};
+use streamgrid_dataflow::{DataflowGraph, OpKind, Rate, RateAcc};
 use streamgrid_optimizer::{EdgeInfo, MultiChunkPlan, Schedule};
 
 use crate::dram::DramModel;
@@ -42,45 +42,6 @@ use crate::linebuffer::LineBuffer;
 
 use super::stats::{BackoffStats, RunReport};
 use super::{BufferPolicy, EngineConfig, GlobalLatencyModel};
-
-/// Integer-exact rational rate: a stage side emits `num/den` elements per
-/// cycle on average, never fractionally. The rate is pre-split into its
-/// whole and fractional parts so a step needs no division; the
-/// accumulator's phase lives in the run's [`StageState`].
-#[derive(Debug, Clone, Copy)]
-struct RateAcc {
-    /// `num / den`: elements every step emits.
-    whole: u64,
-    /// `num % den`: what the phase gains each step.
-    frac: u64,
-    den: u64,
-    /// Steps after which the phase repeats: `den / gcd(num, den)`.
-    period: u64,
-}
-
-impl RateAcc {
-    fn new(rate: Rate) -> Self {
-        let num = rate.num().max(0) as u64;
-        let den = rate.den().max(1) as u64;
-        RateAcc {
-            whole: num / den,
-            frac: num % den,
-            den,
-            period: den / gcd(num, den),
-        }
-    }
-
-    /// Elements this step emits; advances `phase`, which stays `< den`.
-    fn step(&self, phase: &mut u64) -> u64 {
-        *phase += self.frac;
-        if *phase >= self.den {
-            *phase -= self.den;
-            self.whole + 1
-        } else {
-            self.whole
-        }
-    }
-}
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
@@ -1014,9 +975,9 @@ impl<'l> EngineState<'l> {
                     moving = true;
                     // A whole rate (period 1) or a period that already
                     // divides the running one leaves the lcm as it is.
-                    if rate.period > 1 && !period.is_multiple_of(rate.period) {
-                        period = (period / gcd(period, rate.period))
-                            .checked_mul(rate.period)
+                    if rate.period() > 1 && !period.is_multiple_of(rate.period()) {
+                        period = (period / gcd(period, rate.period()))
+                            .checked_mul(rate.period())
                             .filter(|&lcm| lcm <= limit)?;
                     }
                 }

@@ -12,10 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 use streamgrid_dataflow::DataflowGraph;
-use streamgrid_optimizer::{
-    certify_and_raise, edge_infos, optimize, plan_multi_chunk, EdgeInfo, MultiChunkPlan,
-    OptimizeConfig, OptimizeError, Schedule,
-};
+use streamgrid_optimizer::{edge_infos, plan_multi_chunk, provision, OptimizeError};
 
 use crate::cache::CacheModel;
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -111,28 +108,6 @@ impl VariantConfig {
     }
 }
 
-/// Sizes `graph`'s buffers at `chunk_elements` as `compile_spec` does:
-/// the ILP solve, the latency margin `margin_cv` a non-DT design must
-/// carry, then every bound the certificate over `n_chunks` chunks at the
-/// plan's initiation interval rejects raised to its certified peak.
-fn provision(
-    graph: &DataflowGraph,
-    chunk_elements: u64,
-    n_chunks: u64,
-    margin_cv: Option<f64>,
-) -> Result<(Vec<EdgeInfo>, Schedule, MultiChunkPlan), OptimizeError> {
-    let edges = edge_infos(graph, chunk_elements);
-    let mut schedule = optimize(graph, &OptimizeConfig::new(chunk_elements))?;
-    let plan = plan_multi_chunk(graph, &edges);
-    if let Some(cv) = margin_cv {
-        for s in schedule.buffer_sizes.iter_mut() {
-            *s = (*s as f64 * (1.0 + cv)).ceil() as u64;
-        }
-    }
-    certify_and_raise(&edges, &mut schedule, plan.initiation_interval, n_chunks);
-    Ok((edges, schedule, plan))
-}
-
 /// Evaluates one variant of `graph` (the CS-transformed graph should
 /// already carry `window_chunks` on its global ops).
 ///
@@ -155,8 +130,11 @@ pub fn evaluate(
     };
     // CS without DT cannot size buffers exactly offline: provision the
     // ILP result with a variability margin (the cost of non-determinism).
+    // `provision` sizes every design as `compile_spec` does.
     let margin = matches!(variant, Variant::Cs | Variant::Base).then_some(config.latency_cv);
-    let (edges, schedule, plan) = provision(graph, chunk_elements, n_chunks, margin)?;
+    let edges = edge_infos(graph, chunk_elements);
+    let plan = plan_multi_chunk(graph, &edges);
+    let schedule = provision(graph, &edges, &plan, n_chunks, margin)?;
 
     let (latency, policy) = match variant {
         Variant::CsDt => (GlobalLatencyModel::Deterministic, BufferPolicy::Strict),
@@ -197,7 +175,9 @@ pub fn evaluate(
     if matches!(variant, Variant::BaseCache) {
         // Replace the line buffers with a cache of the size the CS+DT
         // design would use (the paper's "comparable on-chip buffer").
-        let (_, csdt, _) = provision(graph, cs_chunk_elements, n, None)?;
+        let cs_edges = edge_infos(graph, cs_chunk_elements);
+        let cs_plan = plan_multi_chunk(graph, &cs_edges);
+        let csdt = provision(graph, &cs_edges, &cs_plan, n, None)?;
         let cache = CacheModel {
             capacity_bytes: csdt.total_buffer_elements * config.bytes_per_element,
             ..CacheModel::default()

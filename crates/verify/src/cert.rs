@@ -1,12 +1,12 @@
 //! The schedule certifier: exact discrete occupancy bounds per edge.
 //!
-//! The execution engines advance every edge with the same integer
-//! allowance discipline (`RateAcc` in `streamgrid-sim`): after `k`
-//! active cycles at rate `num/den`, a stage has been allowed exactly
-//! `⌊k·num/den⌋` elements. The certifier evaluates those allowance
-//! curves — not their fluid approximations — over the multi-chunk issue
-//! lattice `start + c·II` and derives, for each edge, an upper bound on
-//! the occupancy the shared stepper can ever reach:
+//! The execution engines advance every edge with one integer allowance
+//! discipline ([`RateAcc`]): after `k` active cycles at rate `num/den`,
+//! a stage has been allowed exactly `⌊k·num/den⌋` elements. The
+//! certifier evaluates those allowance curves — not their fluid
+//! approximations — over the multi-chunk issue lattice `start + c·II`
+//! and derives, for each edge, an upper bound on the occupancy the
+//! shared stepper can ever reach:
 //!
 //! * `Ŵ(t)` — cumulative write allowance through cycle `t`, summed over
 //!   every chunk (clamped to the chunk volume `V`);
@@ -33,16 +33,15 @@
 //!
 //! The walk visits every cycle of that window, but computes no
 //! allowance from scratch: each side of an edge keeps one
-//! `(value, remainder)` accumulator per chunk track and steps it the
-//! way `RateAcc` does — add `num / den`, carry one when the remainder
-//! reaches `den`, clamp at `V` — so a cycle costs adds and compares, with
-//! no multiply or divide. Only the started, unsaturated tracks step (a
-//! contiguous run of chunk indices), so the walk costs
-//! O(window × live tracks). The accumulators stay `i128`, like every
-//! other quantity here.
+//! `(value, phase)` pair per chunk track and steps it with the engines'
+//! own [`RateAcc`], clamping at `V`, so a cycle costs adds and compares,
+//! with no multiply or divide. Only the started, unsaturated tracks step
+//! (a contiguous run of chunk indices), so the walk costs
+//! O(window × live tracks). Values stay `i128`, like every other
+//! quantity here.
 
 use serde::Serialize;
-use streamgrid_dataflow::Rate;
+use streamgrid_dataflow::{Rate, RateAcc};
 
 /// Per-edge constants the certifier needs — a rational-rate slice of
 /// the optimizer's `EdgeInfo`, kept dependency-free so the certifier
@@ -314,18 +313,14 @@ impl Window {
 /// tracks issued `II` cycles apart, each allowed `rate` elements per
 /// cycle up to the chunk volume.
 struct Side {
-    /// `num / den`: what every step adds.
-    whole: i128,
-    /// `num % den`: what every step adds to the remainder.
-    frac: i128,
-    den: i128,
+    rate: RateAcc,
     volume: i128,
     ii: i128,
     /// Cycle at which track `started` takes its first step.
     next_issue: i128,
-    /// `(value, remainder)` per track: after `j` steps a track holds
-    /// `min(⌊j·num/den⌋, volume)` with remainder `j·num mod den`.
-    tracks: Vec<(i128, i128)>,
+    /// `(value, phase)` per track: after `j` steps a track holds
+    /// `min(⌊j·num/den⌋, volume)` with phase `j·num mod den`.
+    tracks: Vec<(i128, u64)>,
     /// Tracks `..saturated` hold `volume`; `saturated..started` are live.
     saturated: usize,
     started: usize,
@@ -335,11 +330,8 @@ struct Side {
 
 impl Side {
     fn new(start: i128, ii: i128, rate: Rate, volume: u64, k: usize) -> Self {
-        let (num, den) = (rate.num() as i128, rate.den() as i128);
         Side {
-            whole: num / den,
-            frac: num % den,
-            den,
+            rate: RateAcc::new(rate),
             volume: volume as i128,
             ii,
             next_issue: start,
@@ -360,14 +352,8 @@ impl Side {
             self.next_issue += self.ii;
         }
         let mut sum = self.saturated_sum;
-        for (value, rem) in &mut self.tracks[self.saturated..self.started] {
-            *value += self.whole;
-            *rem += self.frac;
-            if *rem >= self.den {
-                *rem -= self.den;
-                *value += 1;
-            }
-            *value = (*value).min(self.volume);
+        for (value, phase) in &mut self.tracks[self.saturated..self.started] {
+            *value = (*value + self.rate.step(phase) as i128).min(self.volume);
             sum += *value;
         }
         // Tracks share one rate and issue in order, so they saturate in

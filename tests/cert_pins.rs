@@ -4,12 +4,14 @@
 //! so an accepted edge's peak, `δ` or witness could move without any of
 //! them noticing. These tests fold every field of every `EdgeCert` (and
 //! the certificate's period and chunk count) into an FNV-1a digest and
-//! compare it with recorded constants, over both passes a compile pays:
+//! compare it with recorded constants, in two kinds of row:
 //!
-//! - the full-lattice certificate, `CompiledPipeline::certify`, which
-//!   `compile_spec` runs to bump under-sized edges;
-//! - the single-chunk certificate `certify_schedule(&edges, &schedule,
-//!   1, 1)` that `optimize` runs after its solve.
+//! - `lattice`: the full-lattice certificate, `CompiledPipeline::certify`,
+//!   the one certificate a compile pays (`provision` runs it to bump
+//!   under-sized edges);
+//! - `single`: the certifier at one chunk, `certify_schedule(&edges,
+//!   &schedule, 1, 1)` on the compiled schedule. No compile runs it; it
+//!   pins the walk where only one track per side is live.
 //!
 //! The designs are every registry preset under CS and under CS+DT at
 //! `linear(n, 2)` and `n · 300` elements, for the chunk counts `n` of
@@ -116,12 +118,11 @@ fn check(pinned: &[Pin], computed: &[Row]) {
     }
 }
 
-/// Two rows per group of designs: the full lattice, then the single
-/// chunk `optimize` certifies.
+/// Two rows per group of designs: the full lattice, then one chunk.
 ///
 /// On every edge the single chunk's certified peak is at most the full
-/// lattice's, which makes the single-chunk pass redundant wherever the
-/// lattice pass runs after it with no margin in between (under DT).
+/// lattice's: a bound the lattice certificate accepts also holds for
+/// one chunk.
 fn certify_rows(name: &str, designs: &[CompiledPipeline], computed: &mut Vec<Row>) {
     let mut full = Row::new(format!("{name}/lattice"));
     let mut single = Row::new(format!("{name}/single"));

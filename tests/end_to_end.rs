@@ -121,8 +121,8 @@ fn pruned_and_full_formulations_agree_on_apps() {
         let edges = edge_infos(&graph, elements);
         let (_, asap) = streamgrid_optimizer::asap_schedule(&graph, &edges);
         let limit = asap + graph.node_count() as f64 + 1.0;
-        let pruned = build(&graph, elements, FormulationKind::Pruned, limit);
-        let full = build(&graph, elements, FormulationKind::Full { stride }, limit);
+        let pruned = build(&graph, &edges, FormulationKind::Pruned, limit);
+        let full = build(&graph, &edges, FormulationKind::Full { stride }, limit);
         let ps = pruned.model.solve().unwrap();
         let fs = full.model.solve().unwrap();
         assert!(

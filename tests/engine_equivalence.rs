@@ -13,7 +13,7 @@ use streamgrid_core::framework::{ExecMode, ExecuteOptions, StreamGrid};
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Shape};
-use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, OptimizeConfig, Schedule};
+use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, Schedule};
 use streamgrid_sim::{
     run_with, BackoffStats, BufferPolicy, EnergyModel, EngineConfig, EngineLayout, EngineMode,
 };
@@ -239,7 +239,7 @@ fn stretched_periods_end_where_the_oracle_ends() {
             for elements in STRETCH_SIZES {
                 let edges = edge_infos(&g, elements);
                 let layout = EngineLayout::new(&g, &edges);
-                let schedule = optimize(&g, &OptimizeConfig::new(elements)).expect("chain solves");
+                let schedule = optimize(&g, &edges).expect("chain solves");
                 let planned = plan_multi_chunk(&g, &edges);
                 for stretch in II_STRETCHES {
                     let mut plan = planned.clone();
@@ -340,7 +340,7 @@ fn stretched_random_designs_run_identically() {
             continue;
         }
         let layout = EngineLayout::new(&g, &edges);
-        let mut schedule = optimize(&g, &OptimizeConfig::new(elements)).expect("design solves");
+        let mut schedule = optimize(&g, &edges).expect("design solves");
         if let Some(sabotage) = &sabotage {
             sabotage.apply(&mut schedule, edges.len());
         }
@@ -403,7 +403,7 @@ proptest! {
         let elements = chunk_points * 2;
         let edges = edge_infos(&g, elements);
         prop_assume!(edges.iter().all(|e| e.volume > 0));
-        let mut schedule = match optimize(&g, &OptimizeConfig::new(elements)) {
+        let mut schedule = match optimize(&g, &edges) {
             Ok(s) => s,
             Err(e) => return Err(TestCaseError::fail(format!("optimize failed: {e}"))),
         };
@@ -452,7 +452,7 @@ proptest! {
         let elements = chunk_points * 2;
         let edges = edge_infos(&g, elements);
         prop_assume!(edges.iter().all(|e| e.volume > 0));
-        let schedule = match optimize(&g, &OptimizeConfig::new(elements)) {
+        let schedule = match optimize(&g, &edges) {
             Ok(s) => s,
             Err(e) => return Err(TestCaseError::fail(format!("optimize failed: {e}"))),
         };

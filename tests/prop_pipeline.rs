@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use streamgrid_dataflow::{DataflowGraph, Shape};
-use streamgrid_optimizer::{
-    edge_infos, optimize, plan_multi_chunk, validate_schedule, OptimizeConfig,
-};
+use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk, validate_schedule};
 use streamgrid_sim::{run, EnergyModel, EngineConfig};
 
 /// A random stage descriptor: (kind, points-per-burst, depth, reuse).
@@ -100,7 +98,7 @@ proptest! {
         let edges = edge_infos(&g, elements);
         // Skip degenerate pipelines where some stage emits nothing.
         prop_assume!(edges.iter().all(|e| e.volume > 0));
-        let schedule = match optimize(&g, &OptimizeConfig::new(elements)) {
+        let schedule = match optimize(&g, &edges) {
             Ok(s) => s,
             Err(e) => return Err(TestCaseError::fail(format!("optimize failed: {e}"))),
         };

@@ -148,7 +148,7 @@ fn solve_formulation(graph: &DataflowGraph, elements: u64, kind: FormulationKind
     let edges = edge_infos(graph, elements);
     let (_, asap) = asap_schedule(graph, &edges);
     let limit = asap + graph.node_count() as f64 + 1.0;
-    build(graph, elements, kind, limit).model.solve().unwrap()
+    build(graph, &edges, kind, limit).model.solve().unwrap()
 }
 
 #[rustfmt::skip]

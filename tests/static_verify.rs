@@ -12,7 +12,7 @@ use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::source::{ReplaySource, SizeBucketing, StreamOptions};
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::{DataflowGraph, Rate, Shape};
-use streamgrid_optimizer::{cert_edges, certify_schedule, edge_infos, optimize, OptimizeConfig};
+use streamgrid_optimizer::{cert_edges, certify_schedule, edge_infos, optimize};
 use streamgrid_verify::certify;
 
 /// Every registry preset, across the same chunk-count matrix the engine
@@ -65,6 +65,42 @@ fn presets_certify_and_bound_observed_occupancy() {
     }
 }
 
+/// The ILP's own schedule — no latency margin, no raised bound —
+/// certifies over one chunk for every preset under Base, CS and CS+DT
+/// at 1 to 48 chunks of `cold-compile`'s sizes (256–655 elements) and
+/// of `presets_certify_and_bound_observed_occupancy`'s (300); Base
+/// schedules the whole cloud as one chunk. That is why `provision`
+/// certifies only the full lattice: a single-chunk pass before it
+/// would raise no bound.
+#[test]
+fn raw_ilp_schedules_certify_for_one_chunk() {
+    for spec in PipelineRegistry::with_paper_apps().specs() {
+        for n in [1u64, 4, 16, 48] {
+            let split = SplitConfig::linear(n as u32, 2);
+            for (label, config) in [
+                ("base", StreamGridConfig::base()),
+                ("cs", StreamGridConfig::cs(split)),
+                ("cs_dt", StreamGridConfig::cs_dt(split)),
+            ] {
+                let mut graph = spec.graph().clone();
+                config.apply(&mut graph);
+                for chunk in [256u64, 257, 300, 301, 419, 512, 655] {
+                    let elements = config.chunk_elements(n * chunk);
+                    let edges = edge_infos(&graph, elements);
+                    let schedule = optimize(&graph, &edges).expect("preset solves");
+                    let cert = certify_schedule(&edges, &schedule, 1, 1);
+                    assert!(
+                        cert.accepted(),
+                        "{} {label} at {n} × {chunk}: raw ILP schedule rejected:\n{}",
+                        spec.name(),
+                        cert.render()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Streams surface findings the compiler cannot see: a frame far below
 /// its scheduled bucket is a bucketing blowup (SG003) at the stream
 /// level even though each compiled design lints clean.
@@ -111,7 +147,7 @@ fn perturbed_rate_rejects_against_original_bounds() {
     g.connect(src, map);
     g.connect(map, sink);
     let edges = edge_infos(&g, 300);
-    let schedule = optimize(&g, &OptimizeConfig::new(300)).expect("optimizes");
+    let schedule = optimize(&g, &edges).expect("optimizes");
     let honest = certify_schedule(&edges, &schedule, 1, 1);
     assert!(honest.accepted(), "{}", honest.render());
 
@@ -213,8 +249,8 @@ fn build_chain(stages: &[StageKind]) -> DataflowGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every ILP schedule over a random pipeline certifies accepting —
-    /// and the certificate is sharp: shaving a single element off the
+    /// The ILP's own schedule over a random pipeline certifies accepting
+    /// for one chunk — and the certificate is sharp: shaving a single element off the
     /// busiest buffer flips it to rejected at exactly that edge.
     #[test]
     fn ilp_schedules_certify_and_sabotage_rejects(
@@ -226,7 +262,7 @@ proptest! {
         let elements = chunk_points * 2;
         let edges = edge_infos(&g, elements);
         prop_assume!(edges.iter().all(|e| e.volume > 0));
-        let schedule = match optimize(&g, &OptimizeConfig::new(elements)) {
+        let schedule = match optimize(&g, &edges) {
             Ok(s) => s,
             Err(e) => return Err(TestCaseError::fail(format!("optimize failed: {e}"))),
         };
