@@ -171,15 +171,41 @@ pub fn certify(
     period: u64,
     n_chunks: u64,
 ) -> Certificate {
+    certify_counted(edges, start_cycles, bounds, period, n_chunks).0
+}
+
+/// [`certify`], also returning the certifier's work: the cycles its
+/// local-edge walks visited, summed over the edges (global-consumer
+/// edges visit none). The count stays outside [`Certificate`], which
+/// states what was proved, not what proving it cost; the work-budget
+/// test (`tests/cert_pins.rs`) holds it to recorded ceilings.
+///
+/// # Panics
+///
+/// As [`certify`].
+pub fn certify_counted(
+    edges: &[CertEdge],
+    start_cycles: &[u64],
+    bounds: &[u64],
+    period: u64,
+    n_chunks: u64,
+) -> (Certificate, u64) {
     certify_by(edges, start_cycles, bounds, period, n_chunks, edge_peak)
 }
 
-/// What [`edge_peak`] returns: `(peak, starve_slack, witness_cycle,
-/// chunks_analyzed)`.
-type Walk = (i128, i128, i64, u64);
+/// What one local edge's walk returns.
+#[derive(Debug, PartialEq)]
+struct Walk {
+    peak: i128,
+    starve_slack: i128,
+    witness_cycle: i64,
+    chunks_analyzed: u64,
+    /// Cycles the walk visited: its work, not part of the verdict.
+    visited: u64,
+}
 
-/// [`certify`] with the local-edge walk as a parameter, so the tests can
-/// run the same certificate over a reference walk.
+/// [`certify_counted`] with the local-edge walk as a parameter, so the
+/// tests can run the same certificate over a reference walk.
 fn certify_by(
     edges: &[CertEdge],
     start_cycles: &[u64],
@@ -187,55 +213,58 @@ fn certify_by(
     period: u64,
     n_chunks: u64,
     walk: impl Fn(&CertEdge, &[u64], i128, u64) -> Walk,
-) -> Certificate {
+) -> (Certificate, u64) {
     assert_eq!(
         edges.len(),
         bounds.len(),
         "one buffer bound per edge is required"
     );
     let ii = period.max(1) as i128;
+    let mut visited = 0;
     let edge_certs = edges
         .iter()
         .zip(bounds)
         .enumerate()
         .map(|(i, (e, &bound))| {
-            let (peak, delta, witness, k) = if e.global_consumer {
+            let w = if e.global_consumer {
                 // Global consumers retain `window_chunks` whole chunk
                 // volumes by construction — the formulation sizes the
                 // buffer to exactly that, so the peak is exact and the
                 // lattice is irrelevant.
-                (
-                    (e.volume as i128) * (e.window_chunks as i128),
-                    0,
-                    start_cycles[e.consumer] as i64,
-                    n_chunks.min(e.window_chunks as u64).max(1),
-                )
+                Walk {
+                    peak: (e.volume as i128) * (e.window_chunks as i128),
+                    starve_slack: 0,
+                    witness_cycle: start_cycles[e.consumer] as i64,
+                    chunks_analyzed: n_chunks.min(e.window_chunks as u64).max(1),
+                    visited: 0,
+                }
             } else {
                 walk(e, start_cycles, ii, n_chunks)
             };
-            let certified_peak = peak.max(0) as u64;
+            visited += w.visited;
+            let certified_peak = w.peak.max(0) as u64;
             EdgeCert {
                 edge: i,
                 producer: e.producer,
                 consumer: e.consumer,
                 certified_peak,
                 bound,
-                starve_slack: delta as u64,
-                witness_cycle: witness,
-                chunks_analyzed: k,
+                starve_slack: w.starve_slack as u64,
+                witness_cycle: w.witness_cycle,
+                chunks_analyzed: w.chunks_analyzed,
                 accepted: certified_peak <= bound,
             }
         })
         .collect();
-    Certificate {
+    let cert = Certificate {
         period,
         n_chunks,
         edges: edge_certs,
-    }
+    };
+    (cert, visited)
 }
 
-/// Worst-case discrete occupancy of one local edge over the lattice:
-/// `(peak, starve_slack, witness_cycle, chunks_analyzed)`.
+/// Worst-case discrete occupancy of one local edge over the lattice.
 fn edge_peak(e: &CertEdge, start_cycles: &[u64], ii: i128, n_chunks: u64) -> Walk {
     let window = Window::new(e, start_cycles, ii, n_chunks);
     let k = window.k as usize;
@@ -291,7 +320,9 @@ impl Window {
         let mut peak = 0i128;
         let mut peak_delta = 0i128;
         let mut witness = self.t_min;
+        let mut visited = 0;
         for t in self.t_min..=self.t_max {
+            visited += 1;
             let (w, r) = sides(t);
             // Reads at cycle t see writes through t−1; any allowance beyond
             // that is a transient the discrete stepper can carry forward as
@@ -305,7 +336,13 @@ impl Window {
             }
             prev_w = w;
         }
-        (peak, peak_delta.max(0), witness as i64, self.k as u64)
+        Walk {
+            peak,
+            starve_slack: peak_delta.max(0),
+            witness_cycle: witness as i64,
+            chunks_analyzed: self.k as u64,
+            visited,
+        }
     }
 }
 
@@ -497,7 +534,7 @@ mod tests {
         for case in 0..1000 {
             let (edges, starts, bounds, period, n_chunks) = random_case(&mut rng);
             let stepped = certify(&edges, &starts, &bounds, period, n_chunks);
-            let reference = certify_by(
+            let (reference, _) = certify_by(
                 &edges,
                 &starts,
                 &bounds,

@@ -36,6 +36,6 @@ pub mod cert;
 pub mod lint;
 pub mod mc;
 
-pub use cert::{certify, CertEdge, Certificate, EdgeCert};
+pub use cert::{certify, certify_counted, CertEdge, Certificate, EdgeCert};
 pub use lint::{bucketing_blowup, inert_qos_policy, lint_graph, Diagnostic, LintContext, Severity};
 pub use mc::{explore, McConfig, McReport, Model};

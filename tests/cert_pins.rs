@@ -20,12 +20,17 @@
 //! summed certified peaks alongside the digest, so a failure says
 //! whether peaks moved. On a mismatch the message prints the recomputed
 //! table. A speed-up must keep every row.
+//!
+//! The same design groups carry the certifier's work budget: the cycles
+//! its walks visit over each group's full-lattice certificates
+//! (`certify_counted`) stay under recorded ceilings, so a walk that
+//! keeps every digest but visits more cycles fails too.
 
 use streamgrid_core::framework::{CompiledPipeline, StreamGrid};
 use streamgrid_core::registry::PipelineRegistry;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
-use streamgrid_optimizer::certify_schedule;
-use streamgrid_verify::{Certificate, EdgeCert};
+use streamgrid_optimizer::{cert_edges, certify_schedule};
+use streamgrid_verify::{certify_counted, Certificate, EdgeCert};
 
 /// 64-bit FNV-1a over little-endian words.
 struct Fnv(u64);
@@ -171,10 +176,15 @@ const PRESET_PINS: [Pin; 16] = [
     ("segmentation/cs_dt/single",      16962, 0x8815515c12bc977d),
 ];
 
-#[test]
-fn preset_certificates_match_pins() {
+/// A named group of compiled designs.
+type Group = (String, Vec<CompiledPipeline>);
+
+/// Every preset under CS, then CS+DT, at `linear(n, 2)` and `n · 300`
+/// elements for each of [`CHUNK_COUNTS`]: one group per preset and
+/// config.
+fn preset_groups() -> Vec<Group> {
     let registry = PipelineRegistry::with_paper_apps();
-    let mut computed = Vec::new();
+    let mut groups = Vec::new();
     for spec in registry.specs() {
         for (label, dt) in [("cs", false), ("cs_dt", true)] {
             let designs: Vec<CompiledPipeline> = CHUNK_COUNTS
@@ -191,8 +201,17 @@ fn preset_certificates_match_pins() {
                         .expect("preset compiles")
                 })
                 .collect();
-            certify_rows(&format!("{}/{label}", spec.name()), &designs, &mut computed);
+            groups.push((format!("{}/{label}", spec.name()), designs));
         }
+    }
+    groups
+}
+
+#[test]
+fn preset_certificates_match_pins() {
+    let mut computed = Vec::new();
+    for (name, designs) in preset_groups() {
+        certify_rows(&name, &designs, &mut computed);
     }
     check(&PRESET_PINS, &computed);
 }
@@ -212,16 +231,90 @@ const COLD_PINS: [Pin; 8] = [
     ("segmentation/cold/single",      22920, 0xb1e922028313c339),
 ];
 
+/// Every preset under CS+DT `linear(4, 2)` at [`COLD_SIZES`]: one group
+/// per preset.
+fn cold_groups() -> Vec<Group> {
+    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
+    PipelineRegistry::with_paper_apps()
+        .specs()
+        .map(|spec| {
+            let designs = COLD_SIZES
+                .iter()
+                .map(|&elements| fw.compile_spec(spec, elements).expect("preset compiles"))
+                .collect();
+            (format!("{}/cold", spec.name()), designs)
+        })
+        .collect()
+}
+
 #[test]
 fn cold_compile_certificates_match_pins() {
-    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
     let mut computed = Vec::new();
-    for spec in PipelineRegistry::with_paper_apps().specs() {
-        let designs: Vec<CompiledPipeline> = COLD_SIZES
-            .iter()
-            .map(|&elements| fw.compile_spec(spec, elements).expect("preset compiles"))
-            .collect();
-        certify_rows(&format!("{}/cold", spec.name()), &designs, &mut computed);
+    for (name, designs) in cold_groups() {
+        certify_rows(&name, &designs, &mut computed);
     }
     check(&COLD_PINS, &computed);
+}
+
+/// One work ceiling: a design group and the most cycles the certifier's
+/// walks may visit over its full-lattice certificates.
+type Ceiling = (&'static str, u64);
+
+#[rustfmt::skip]
+const VISIT_CEILINGS: [Ceiling; 12] = [
+    ("classification/cs",      5268),
+    ("classification/cs_dt",   5268),
+    ("neural_rendering/cs",    2427),
+    ("neural_rendering/cs_dt", 2427),
+    ("registration/cs",        42546),
+    ("registration/cs_dt",     42546),
+    ("segmentation/cs",        15270),
+    ("segmentation/cs_dt",     15270),
+    ("classification/cold",    7657),
+    ("neural_rendering/cold",  3510),
+    ("registration/cold",      64043),
+    ("segmentation/cold",      22727),
+];
+
+/// The certifier's work budget: over each group of `cert_pins`' designs,
+/// the cycles visited by the one full-lattice certificate a compile
+/// pays stay under the group's ceiling. A change that visits fewer
+/// cycles lowers its ceilings; one that raises a ceiling must say why
+/// the extra work pays. On a failure the message prints the measured
+/// table.
+#[test]
+fn certifier_visits_stay_under_their_ceilings() {
+    let measured: Vec<(String, u64)> = preset_groups()
+        .into_iter()
+        .chain(cold_groups())
+        .map(|(name, designs)| {
+            let visited = designs
+                .iter()
+                .map(|design| {
+                    let (cert, visited) = certify_counted(
+                        &cert_edges(&design.edges),
+                        &design.schedule.start_cycles,
+                        &design.schedule.buffer_sizes,
+                        design.plan.initiation_interval,
+                        design.n_chunks,
+                    );
+                    assert_eq!(cert, design.certify(), "{name}: one walk, one certificate");
+                    visited
+                })
+                .sum();
+            (name, visited)
+        })
+        .collect();
+    let within = measured.len() == VISIT_CEILINGS.len()
+        && VISIT_CEILINGS
+            .iter()
+            .zip(&measured)
+            .all(|(&(name, ceiling), (n, visited))| name == n && *visited <= ceiling);
+    if !within {
+        let table: String = measured
+            .iter()
+            .map(|(name, visited)| format!("    ({:<25} {visited}),\n", format!("{name:?},")))
+            .collect();
+        panic!("certifier visits above their ceilings; measured:\n{table}");
+    }
 }
