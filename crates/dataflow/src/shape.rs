@@ -209,6 +209,29 @@ impl RateAcc {
             self.whole
         }
     }
+
+    /// Elements `steps` consecutive [`RateAcc::step`]s emit, in closed
+    /// form: `steps · whole` plus one for each time the phase wraps.
+    /// Leaves `phase` where those steps would, so a caller can jump a
+    /// track across a stretch it need not visit and step on from there.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use streamgrid_dataflow::{Rate, RateAcc};
+    ///
+    /// let acc = RateAcc::new(Rate::new(3, 2));
+    /// let (mut stepped, mut jumped) = (1, 1);
+    /// let emitted: u64 = (0..5).map(|_| acc.step(&mut stepped)).sum();
+    /// assert_eq!(acc.advance(&mut jumped, 5), emitted);
+    /// assert_eq!((emitted, jumped), (8, stepped));
+    /// ```
+    pub fn advance(&self, phase: &mut u64, steps: u64) -> u64 {
+        let acc = *phase as u128 + steps as u128 * self.frac as u128;
+        let den = self.den as u128;
+        *phase = (acc % den) as u64;
+        (steps as u128 * self.whole as u128 + acc / den) as u64
+    }
 }
 
 fn gcd(a: i64, b: i64) -> i64 {
@@ -260,6 +283,32 @@ mod tests {
         assert_eq!(r.scale(4), Rate::new(2, 1));
         assert_eq!(r.div(2), Rate::new(1, 4));
         assert_eq!(r.recip(), Rate::new(2, 1));
+    }
+
+    /// Every rate `num/den` with `den` up to 7 and up to three elements
+    /// per cycle, from every phase, over 0 to 40 steps: one jump emits
+    /// what the steps emit and leaves the same phase.
+    #[test]
+    fn advance_matches_repeated_steps() {
+        for den in 1..=7 {
+            for num in 0..=3 * den {
+                let acc = RateAcc::new(Rate::new(num, den));
+                for start in 0..acc.period() {
+                    let mut stepped = start;
+                    let mut emitted = 0;
+                    for steps in 0..=40 {
+                        let mut jumped = start;
+                        assert_eq!(
+                            acc.advance(&mut jumped, steps),
+                            emitted,
+                            "{num}/{den} from phase {start}, {steps} steps"
+                        );
+                        assert_eq!(jumped, stepped, "{num}/{den} from phase {start}");
+                        emitted += acc.step(&mut stepped);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

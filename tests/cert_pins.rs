@@ -262,18 +262,18 @@ type Ceiling = (&'static str, u64);
 
 #[rustfmt::skip]
 const VISIT_CEILINGS: [Ceiling; 12] = [
-    ("classification/cs",      5268),
-    ("classification/cs_dt",   5268),
-    ("neural_rendering/cs",    2427),
-    ("neural_rendering/cs_dt", 2427),
-    ("registration/cs",        42546),
-    ("registration/cs_dt",     42546),
-    ("segmentation/cs",        15270),
-    ("segmentation/cs_dt",     15270),
-    ("classification/cold",    7657),
-    ("neural_rendering/cold",  3510),
-    ("registration/cold",      64043),
-    ("segmentation/cold",      22727),
+    ("classification/cs",      553),
+    ("classification/cs_dt",   553),
+    ("neural_rendering/cs",    345),
+    ("neural_rendering/cs_dt", 345),
+    ("registration/cs",        1368),
+    ("registration/cs_dt",     1368),
+    ("segmentation/cs",        918),
+    ("segmentation/cs_dt",     918),
+    ("classification/cold",    600),
+    ("neural_rendering/cold",  378),
+    ("registration/cold",      1526),
+    ("segmentation/cold",      1002),
 ];
 
 /// The certifier's work budget: over each group of `cert_pins`' designs,
