@@ -213,9 +213,11 @@ impl<'a> CompileRequest<'a> {
     }
 
     /// Rebuilds the design around an already-solved `schedule` — zero
-    /// ILP solves. `None` when the schedule does not fit this request's
-    /// transformed graph (the persisted entry is stale or foreign); the
-    /// caller falls back to [`CompileRequest::solve`].
+    /// ILP solves, one certificate. `None` when the schedule does not
+    /// fit this request's transformed graph (the persisted entry is
+    /// stale or foreign), when its stored buffer total is not the sum of
+    /// its buffers, or when its buffers do not certify (the entry is
+    /// corrupt); the caller falls back to [`CompileRequest::solve`].
     pub fn rebuild(&self, schedule: streamgrid_optimizer::Schedule) -> Option<CompiledPipeline> {
         StreamGrid::new(*self.config).rebuild_spec(self.spec, self.scheduled_elements, schedule)
     }
@@ -511,9 +513,10 @@ const FILE_FORMAT_VERSION: u64 = 3;
 /// derived edge constants, and the [`CompileSummary`], all through the
 /// hand-rolled [`streamgrid_optimizer::json`] codec (the vendored serde
 /// cannot deserialize). On load the entry is verified against a fresh
-/// derivation — edges and summary must match exactly — so a stale,
-/// corrupt, or truncated file is silently treated as a miss and
-/// re-solved, never an error. Writes are best-effort: an unwritable
+/// derivation — edges and summary must match exactly, the stored buffer
+/// total must be the sum of the buffers, and the buffers must certify —
+/// so a stale, corrupt, or truncated file is silently treated as a miss
+/// and re-solved, never an error. Writes are best-effort: an unwritable
 /// directory degrades to in-memory caching.
 ///
 /// ```no_run
@@ -568,8 +571,8 @@ impl FileCache {
 
     /// Attempts to reconstitute a compiled design from the persisted
     /// entry. Any failure — missing file, malformed JSON, version or key
-    /// mismatch, schedule that no longer fits, edge or summary drift —
-    /// returns `None` and the caller re-solves.
+    /// mismatch, schedule that no longer fits or certifies, edge or
+    /// summary drift — returns `None` and the caller re-solves.
     fn load(&self, req: &CompileRequest<'_>) -> Option<CompiledPipeline> {
         let text = fs::read_to_string(self.path_for(&req.key())).ok()?;
         let doc = json::parse(&text).ok()?;
@@ -902,6 +905,17 @@ mod tests {
         let compiled = req.solve().unwrap();
         let mut wrong = compiled.schedule.clone();
         wrong.start_cycles.pop();
+        assert!(req.rebuild(wrong).is_none());
+        // A stored total that is not the buffers' sum.
+        let mut wrong = compiled.schedule.clone();
+        wrong.total_buffer_elements += 1;
+        assert!(req.rebuild(wrong).is_none());
+        // A buffer under its certified peak, with a consistent total.
+        let cert = compiled.certify();
+        let peaked = cert.edges.iter().find(|e| e.certified_peak > 0).unwrap();
+        let mut wrong = compiled.schedule.clone();
+        wrong.buffer_sizes[peaked.edge] = peaked.certified_peak - 1;
+        wrong.total_buffer_elements = wrong.buffer_sizes.iter().sum();
         assert!(req.rebuild(wrong).is_none());
         let rebuilt = req.rebuild(compiled.schedule.clone()).unwrap();
         assert_eq!(rebuilt.summary(), compiled.summary());

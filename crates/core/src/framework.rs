@@ -327,18 +327,23 @@ impl StreamGrid {
     /// The schedule must be the *final* one a compile produced (for
     /// non-DT configs that includes the latency over-provisioning
     /// margin), so no margin is re-applied here. Returns `None` when the
-    /// schedule's dimensions do not match the transformed graph — the
-    /// caller treats that as a cache miss and falls back to a clean
-    /// solve.
+    /// schedule's dimensions do not match the transformed graph, when
+    /// its `total_buffer_elements` is not the sum of its buffers, or
+    /// when its buffers do not certify over the design's lattice — a
+    /// compiled design always passes all three, so the caller treats a
+    /// failure as a cache miss and falls back to a clean solve.
     pub(crate) fn rebuild_spec(
         &self,
         spec: &PipelineSpec,
         total_elements: u64,
         schedule: Schedule,
     ) -> Option<CompiledPipeline> {
-        self.assemble(spec, total_elements, |graph, edges, _, _| {
+        self.assemble(spec, total_elements, |graph, edges, plan, n_chunks| {
             let fits = schedule.start_cycles.len() == graph.node_count()
-                && schedule.buffer_sizes.len() == edges.len();
+                && schedule.buffer_sizes.len() == edges.len()
+                && schedule.total_buffer_elements == schedule.buffer_sizes.iter().sum::<u64>()
+                && certify_schedule(edges, &schedule, plan.initiation_interval, n_chunks)
+                    .accepted();
             fits.then_some(schedule).ok_or(())
         })
         .ok()

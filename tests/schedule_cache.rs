@@ -232,6 +232,27 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
             assert_ne!(old, text, "entries start with their version");
             fs::write(path, old).unwrap();
         },
+        // The first buffer cut to one element, with the stored total and
+        // summary cut to match: only the certificate can tell. Served,
+        // the design overflows on edge 0.
+        |path: &PathBuf| {
+            let text = fs::read_to_string(path).unwrap();
+            let first = number_after(&text, "\"buffer_sizes\": [");
+            assert!(first > 1, "edge 0 needs more than one element");
+            let cut = first - 1;
+            let text = edit_number(&text, "\"buffer_sizes\": [", |_| 1);
+            let text = edit_number(&text, "\"total_buffer_elements\": ", |n| n - cut);
+            let text = edit_number(&text, "\"onchip_bytes\": ", |b| b - 4 * cut);
+            fs::write(path, text).unwrap();
+        },
+        // A stored total one element over the buffers' sum, with the
+        // summary raised to match: only the sum can tell.
+        |path: &PathBuf| {
+            let text = fs::read_to_string(path).unwrap();
+            let text = edit_number(&text, "\"total_buffer_elements\": ", |n| n + 1);
+            let text = edit_number(&text, "\"onchip_bytes\": ", |b| b + 4);
+            fs::write(path, text).unwrap();
+        },
     ]
     .iter()
     .enumerate()
@@ -259,6 +280,22 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
         .build();
     healed.run(4 * 300).unwrap();
     assert_eq!(healed.solver_invocations(), 0, "the cache must self-heal");
+}
+
+/// The number right after the first `tag` in `text`.
+fn number_after(text: &str, tag: &str) -> u64 {
+    let start = text.find(tag).expect("the entry has the field") + tag.len();
+    let digits = text[start..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    text[start..start + digits].parse().unwrap()
+}
+
+/// `text` with the number right after the first `tag` replaced by `f`
+/// of it.
+fn edit_number(text: &str, tag: &str, f: impl Fn(u64) -> u64) -> String {
+    let value = number_after(text, tag);
+    let start = text.find(tag).unwrap() + tag.len();
+    let end = start + value.to_string().len();
+    format!("{}{}{}", &text[..start], f(value), &text[end..])
 }
 
 /// A cache entry produced under one config must not satisfy another:
