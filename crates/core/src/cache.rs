@@ -110,9 +110,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// intensity. The [`CacheKey`] fingerprint hashes this string; caches
 /// compare the string itself on in-memory hits, so a 64-bit hash
 /// collision between two different specs can cost an extra solve but
-/// never serves the wrong design.
-pub(crate) fn spec_repr(spec: &PipelineSpec) -> String {
-    format!("{spec:?}")
+/// never serves the wrong design. Shared: a session computes it once,
+/// and every design its cache keeps holds the same string.
+pub(crate) fn spec_repr(spec: &PipelineSpec) -> Arc<str> {
+    format!("{spec:?}").into()
 }
 
 /// FNV-1a fingerprint of a [`spec_repr`] string.
@@ -155,7 +156,7 @@ impl CacheKey {
 #[derive(Debug)]
 pub struct CompileRequest<'a> {
     spec: &'a PipelineSpec,
-    spec_repr: &'a str,
+    spec_repr: &'a Arc<str>,
     config: &'a StreamGridConfig,
     scheduled_elements: u64,
     key: CacheKey,
@@ -164,7 +165,7 @@ pub struct CompileRequest<'a> {
 impl<'a> CompileRequest<'a> {
     pub(crate) fn new(
         spec: &'a PipelineSpec,
-        spec_repr: &'a str,
+        spec_repr: &'a Arc<str>,
         fingerprint: u64,
         config: &'a StreamGridConfig,
         scheduled_elements: u64,
@@ -274,6 +275,15 @@ struct CachedDesign {
 }
 
 impl CachedDesign {
+    /// `compiled`, solved or loaded for `req`, under `req`'s spec
+    /// identity (shared with the session, not copied).
+    fn new(req: &CompileRequest<'_>, compiled: Arc<CompiledPipeline>) -> Self {
+        CachedDesign {
+            spec_repr: Arc::clone(req.spec_repr),
+            compiled,
+        }
+    }
+
     fn matching(&self, req: &CompileRequest<'_>) -> Option<Arc<CompiledPipeline>> {
         (self.spec_repr.as_ref() == req.spec_repr()).then(|| Arc::clone(&self.compiled))
     }
@@ -416,10 +426,7 @@ impl ScheduleCache for InMemoryCache {
         // alternate solves, they never share a design).
         let compiled = Arc::new(req.solve()?);
         self.solves.fetch_add(1, Ordering::Relaxed);
-        *entry = Some(CachedDesign {
-            spec_repr: req.spec_repr().into(),
-            compiled: Arc::clone(&compiled),
-        });
+        *entry = Some(CachedDesign::new(req, Arc::clone(&compiled)));
         // Release the slot before enforcing the bound: the slot we just
         // filled must be visible (and evictable) to the LRU sweep.
         drop(entry);
@@ -635,19 +642,13 @@ impl ScheduleCache for FileCache {
         }
         if let Some(loaded) = self.load(req) {
             let loaded = Arc::new(loaded);
-            *entry = Some(CachedDesign {
-                spec_repr: req.spec_repr().into(),
-                compiled: Arc::clone(&loaded),
-            });
+            *entry = Some(CachedDesign::new(req, Arc::clone(&loaded)));
             return Ok(loaded);
         }
         let compiled = Arc::new(req.solve()?);
         self.solves.fetch_add(1, Ordering::Relaxed);
         self.store(req, &compiled);
-        *entry = Some(CachedDesign {
-            spec_repr: req.spec_repr().into(),
-            compiled: Arc::clone(&compiled),
-        });
+        *entry = Some(CachedDesign::new(req, Arc::clone(&compiled)));
         Ok(compiled)
     }
 
@@ -694,7 +695,7 @@ mod tests {
 
     fn request<'a>(
         spec: &'a PipelineSpec,
-        repr: &'a str,
+        repr: &'a Arc<str>,
         config: &'a StreamGridConfig,
         elements: u64,
     ) -> CompileRequest<'a> {

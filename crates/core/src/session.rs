@@ -62,7 +62,7 @@ pub struct Session {
     /// The spec's stable textual identity and its hash, computed once:
     /// every compile request carries both, so caches can key on the
     /// cheap fingerprint and verify hits against the full identity.
-    spec_repr: Box<str>,
+    spec_repr: Arc<str>,
     spec_fp: u64,
     config: StreamGridConfig,
     cache: Box<dyn ScheduleCache>,
@@ -134,7 +134,7 @@ impl SessionBuilder {
 
     /// Opens the session.
     pub fn build(self) -> Session {
-        let spec_repr: Box<str> = crate::cache::spec_repr(&self.spec).into();
+        let spec_repr = crate::cache::spec_repr(&self.spec);
         Session {
             spec_fp: spec_fingerprint(&spec_repr),
             spec_repr,
