@@ -58,6 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use streamgrid_dataflow::DataflowGraph;
 use streamgrid_optimizer::json::{self, JsonValue};
 
 use crate::framework::{CompileSummary, CompiledPipeline, StreamGrid};
@@ -155,7 +156,8 @@ impl CacheKey {
 /// schedule ([`CompileRequest::rebuild`]).
 #[derive(Debug)]
 pub struct CompileRequest<'a> {
-    spec: &'a PipelineSpec,
+    /// The spec's graph under `config`'s transform.
+    graph: Arc<DataflowGraph>,
     spec_repr: &'a Arc<str>,
     config: &'a StreamGridConfig,
     scheduled_elements: u64,
@@ -164,7 +166,7 @@ pub struct CompileRequest<'a> {
 
 impl<'a> CompileRequest<'a> {
     pub(crate) fn new(
-        spec: &'a PipelineSpec,
+        graph: Arc<DataflowGraph>,
         spec_repr: &'a Arc<str>,
         fingerprint: u64,
         config: &'a StreamGridConfig,
@@ -174,7 +176,7 @@ impl<'a> CompileRequest<'a> {
         // take it from the config.
         let chunk_elements = config.chunk_elements(scheduled_elements);
         CompileRequest {
-            spec,
+            graph,
             spec_repr,
             config,
             scheduled_elements,
@@ -210,7 +212,8 @@ impl<'a> CompileRequest<'a> {
     ///
     /// Propagates [`CompileError`] from the compile path.
     pub fn solve(&self) -> Result<CompiledPipeline, CompileError> {
-        StreamGrid::new(*self.config).compile_spec(self.spec, self.scheduled_elements)
+        StreamGrid::new(*self.config)
+            .compile_transformed(Arc::clone(&self.graph), self.scheduled_elements)
     }
 
     /// Rebuilds the design around an already-solved `schedule` — zero
@@ -220,7 +223,11 @@ impl<'a> CompileRequest<'a> {
     /// its buffers, or when its buffers do not certify (the entry is
     /// corrupt); the caller falls back to [`CompileRequest::solve`].
     pub fn rebuild(&self, schedule: streamgrid_optimizer::Schedule) -> Option<CompiledPipeline> {
-        StreamGrid::new(*self.config).rebuild_spec(self.spec, self.scheduled_elements, schedule)
+        StreamGrid::new(*self.config).rebuild_transformed(
+            Arc::clone(&self.graph),
+            self.scheduled_elements,
+            schedule,
+        )
     }
 }
 
@@ -699,7 +706,8 @@ mod tests {
         config: &'a StreamGridConfig,
         elements: u64,
     ) -> CompileRequest<'a> {
-        CompileRequest::new(spec, repr, spec_fingerprint(repr), config, elements)
+        let graph = StreamGrid::new(*config).transform(spec);
+        CompileRequest::new(graph, repr, spec_fingerprint(repr), config, elements)
     }
 
     #[test]
@@ -797,8 +805,9 @@ mod tests {
         let (cls_repr, reg_repr) = (spec_repr(&cls), spec_repr(&reg));
         let config = csdt4();
         let forged = spec_fingerprint(&cls_repr);
-        let cls_req = CompileRequest::new(&cls, &cls_repr, forged, &config, 1200);
-        let reg_req = CompileRequest::new(&reg, &reg_repr, forged, &config, 1200);
+        let fw = StreamGrid::new(config);
+        let cls_req = CompileRequest::new(fw.transform(&cls), &cls_repr, forged, &config, 1200);
+        let reg_req = CompileRequest::new(fw.transform(&reg), &reg_repr, forged, &config, 1200);
         assert_eq!(cls_req.key(), reg_req.key(), "the forgery must collide");
 
         let cache = InMemoryCache::new();

@@ -2,6 +2,8 @@
 //! CS/DT transform → dataflow analysis → ILP line-buffer optimization →
 //! cycle-level execution.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use streamgrid_dataflow::DataflowGraph;
 use streamgrid_optimizer::{
@@ -27,8 +29,9 @@ const NON_DT_LATENCY_CV: f64 = 0.8;
 /// A pipeline compiled through the whole Fig. 1 flow.
 #[derive(Debug, Clone)]
 pub struct CompiledPipeline {
-    /// The transformed dataflow graph.
-    pub graph: DataflowGraph,
+    /// The transformed dataflow graph. It does not depend on the cloud
+    /// size, so every design a [`Session`] compiles shares one.
+    pub graph: Arc<DataflowGraph>,
     /// Per-edge derived constants.
     pub edges: Vec<EdgeInfo>,
     /// The ILP schedule (start cycles + line-buffer sizes).
@@ -309,20 +312,39 @@ impl StreamGrid {
         spec: &PipelineSpec,
         total_elements: u64,
     ) -> Result<CompiledPipeline, CompileError> {
+        self.compile_transformed(self.transform(spec), total_elements)
+    }
+
+    /// `spec`'s graph under this transform, which every design of `spec`
+    /// at any cloud size shares.
+    pub(crate) fn transform(&self, spec: &PipelineSpec) -> Arc<DataflowGraph> {
+        let mut graph = spec.graph().clone();
+        self.config.apply(&mut graph);
+        Arc::new(graph)
+    }
+
+    /// [`StreamGrid::compile_spec`] on a graph [`StreamGrid::transform`]
+    /// already produced.
+    pub(crate) fn compile_transformed(
+        &self,
+        graph: Arc<DataflowGraph>,
+        total_elements: u64,
+    ) -> Result<CompiledPipeline, CompileError> {
         let margin = self
             .config
             .termination
             .is_none()
             .then_some(NON_DT_LATENCY_CV);
-        self.assemble(spec, total_elements, |graph, edges, plan, n_chunks| {
+        self.assemble(graph, total_elements, |graph, edges, plan, n_chunks| {
             provision(graph, edges, plan, n_chunks, margin).map_err(CompileError::Optimize)
         })
     }
 
     /// Rebuilds the full compiled design around an already-solved
-    /// `schedule` — the zero-solve half of [`StreamGrid::compile_spec`],
-    /// used by persistent schedule caches
-    /// ([`crate::cache::FileCache`]) to reconstitute a design from disk.
+    /// `schedule` — the zero-solve half of
+    /// [`StreamGrid::compile_transformed`], used by persistent schedule
+    /// caches ([`crate::cache::FileCache`]) to reconstitute a design from
+    /// disk.
     ///
     /// The schedule must be the *final* one a compile produced (for
     /// non-DT configs that includes the latency over-provisioning
@@ -332,13 +354,13 @@ impl StreamGrid {
     /// when its buffers do not certify over the design's lattice — a
     /// compiled design always passes all three, so the caller treats a
     /// failure as a cache miss and falls back to a clean solve.
-    pub(crate) fn rebuild_spec(
+    pub(crate) fn rebuild_transformed(
         &self,
-        spec: &PipelineSpec,
+        graph: Arc<DataflowGraph>,
         total_elements: u64,
         schedule: Schedule,
     ) -> Option<CompiledPipeline> {
-        self.assemble(spec, total_elements, |graph, edges, plan, n_chunks| {
+        self.assemble(graph, total_elements, |graph, edges, plan, n_chunks| {
             let fits = schedule.start_cycles.len() == graph.node_count()
                 && schedule.buffer_sizes.len() == edges.len()
                 && schedule.total_buffer_elements == schedule.buffer_sizes.iter().sum::<u64>()
@@ -350,20 +372,18 @@ impl StreamGrid {
     }
 
     /// Assembles a design around the schedule `schedule` returns for it:
-    /// transforms `spec`'s graph, chunks the cloud, derives edges and the
-    /// multi-chunk plan, and lints and lays out the result. Both
-    /// [`StreamGrid::compile_spec`] (which solves the schedule) and
-    /// [`StreamGrid::rebuild_spec`] (which reads it back from a cache)
-    /// go through here, so a rebuilt design cannot drift from a solved
-    /// one.
+    /// chunks the cloud, derives edges and the multi-chunk plan from the
+    /// transformed `graph`, and lints and lays out the result. Both
+    /// [`StreamGrid::compile_transformed`] (which solves the schedule)
+    /// and [`StreamGrid::rebuild_transformed`] (which reads it back from
+    /// a cache) go through here, so a rebuilt design cannot drift from a
+    /// solved one.
     fn assemble<E>(
         &self,
-        spec: &PipelineSpec,
+        graph: Arc<DataflowGraph>,
         total_elements: u64,
         schedule: impl FnOnce(&DataflowGraph, &[EdgeInfo], &MultiChunkPlan, u64) -> Result<Schedule, E>,
     ) -> Result<CompiledPipeline, E> {
-        let mut graph = spec.graph().clone();
-        self.config.apply(&mut graph);
         let n_chunks = self.config.chunk_count();
         let chunk_elements = self.config.chunk_elements(total_elements);
         debug_assert!(chunk_elements * n_chunks >= total_elements);

@@ -18,8 +18,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use streamgrid_dataflow::DataflowGraph;
+
 use crate::cache::{spec_fingerprint, CompileRequest, InMemoryCache, ScheduleCache};
-use crate::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport};
+use crate::framework::{CompiledPipeline, ExecuteOptions, ExecutionReport, StreamGrid};
 use crate::pipeline::{CompileError, PipelineSpec};
 use crate::source::{
     Frame, FrameReport, FrameSource, ReplaySource, SizeBucketing, StreamOptions, StreamReport,
@@ -64,6 +66,9 @@ pub struct Session {
     /// cheap fingerprint and verify hits against the full identity.
     spec_repr: Arc<str>,
     spec_fp: u64,
+    /// `spec`'s graph under `config`'s transform, shared by every design
+    /// the session compiles.
+    graph: Arc<DataflowGraph>,
     config: StreamGridConfig,
     cache: Box<dyn ScheduleCache>,
     deny_lints: bool,
@@ -138,6 +143,7 @@ impl SessionBuilder {
         Session {
             spec_fp: spec_fingerprint(&spec_repr),
             spec_repr,
+            graph: StreamGrid::new(self.config).transform(&self.spec),
             spec: self.spec,
             config: self.config,
             cache: self.cache,
@@ -165,6 +171,7 @@ impl Session {
     /// persist — switching back to an earlier config re-hits its cache
     /// entries instead of re-solving.
     pub fn set_config(&mut self, config: StreamGridConfig) {
+        self.graph = StreamGrid::new(config).transform(&self.spec);
         self.config = config;
     }
 
@@ -192,7 +199,7 @@ impl Session {
     /// Propagates [`CompileError`] from the compile path.
     pub fn compiled(&mut self, total_elements: u64) -> Result<Arc<CompiledPipeline>, CompileError> {
         let req = CompileRequest::new(
-            &self.spec,
+            Arc::clone(&self.graph),
             &self.spec_repr,
             self.spec_fp,
             &self.config,
