@@ -243,7 +243,6 @@ pub fn certify_counted(
 }
 
 /// What one local edge's walk returns.
-#[derive(Debug, PartialEq)]
 struct Walk {
     peak: i128,
     starve_slack: i128,

@@ -233,8 +233,7 @@ fn corrupt_cache_files_fall_back_to_clean_solves() {
             fs::write(path, old).unwrap();
         },
         // The first buffer cut to one element, with the stored total and
-        // summary cut to match: only the certificate can tell. Served,
-        // the design overflows on edge 0.
+        // summary cut to match: only the certificate can tell.
         |path: &PathBuf| {
             let text = fs::read_to_string(path).unwrap();
             let first = number_after(&text, "\"buffer_sizes\": [");
