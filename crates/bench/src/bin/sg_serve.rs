@@ -6,7 +6,7 @@
 //! [`StreamServer`] over one shared schedule cache, runs it to
 //! completion, and prints the per-class SLO table.
 //!
-//! The run asserts the serving layer's two core contracts:
+//! The run asserts the serving layer's three core contracts:
 //!
 //! - **Solve sharing** — total ILP solves equal the *distinct compile
 //!   keys* the tenant mix spans (6 for the default mix), not the tenant
@@ -15,16 +15,24 @@
 //! - **Completeness** — every tenant is admitted (the default ledger
 //!   fits the fleet), finishes cleanly, and every pulled frame is
 //!   accounted for (executed; nothing sheds without a deadline).
+//! - **Copies equal runs** — the server runs each deterministic design
+//!   once per run and hands later frames on it, from any tenant under
+//!   equal options, a copy of that report; every served frame's report
+//!   equals one fresh [`CompiledPipeline::execute`] of its design under
+//!   its tenant's options.
 //!
 //! Usage: `sg_serve [--smoke] [--tenants N]`. `--smoke` (CI's verify
 //! job) runs 2 frames per tenant instead of 4.
 //!
 //! [`SharedCache`]: streamgrid_core::cache::SharedCache
+//! [`CompiledPipeline::execute`]: streamgrid_core::framework::CompiledPipeline::execute
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use streamgrid_core::apps::AppDomain;
+use streamgrid_core::cache::ScheduleCache;
+use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
 use streamgrid_core::source::SyntheticSource;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_serve::{QosClass, ServerConfig, StreamServer, TenantSpec};
@@ -67,6 +75,7 @@ fn main() {
 
     let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
     let mut server = StreamServer::new(ServerConfig::default());
+    let cache = server.cache().clone();
     let mut distinct_keys: HashSet<(String, u64)> = HashSet::new();
     for i in 0..tenants {
         let (qos, domain, size) = tenant_shape(i);
@@ -124,5 +133,35 @@ fn main() {
         "solves must track distinct compile keys, not tenants"
     );
     assert!(report.all_clean(), "every tenant finished cleanly");
+
+    // Each frame's design, from the run's cache (every key hits), run
+    // afresh under the tenant's options: the spec's defaults here.
+    let fw = StreamGrid::new(config);
+    let mut sessions = HashMap::new();
+    let mut copies_differ = 0usize;
+    for (i, tenant) in report.tenants.iter().enumerate() {
+        let (_, domain, _) = tenant_shape(i);
+        let session = sessions.entry(domain).or_insert_with(|| {
+            fw.session_builder(domain.spec())
+                .with_cache(cache.clone())
+                .build()
+        });
+        let options = ExecuteOptions::for_spec(&domain.spec());
+        for frame in &tenant.stream.frames {
+            let design = session
+                .compiled(frame.scheduled_elements)
+                .expect("the run compiled this key");
+            copies_differ += usize::from(frame.report != design.execute(&options));
+        }
+    }
+    assert_eq!(
+        copies_differ, 0,
+        "every served report equals a fresh execute of its design"
+    );
+    assert_eq!(
+        cache.solver_invocations(),
+        report.solver_invocations,
+        "the check compiled nothing new"
+    );
     println!("\nsg_serve: OK");
 }

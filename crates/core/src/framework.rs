@@ -525,16 +525,26 @@ impl CompiledPipeline {
         }
     }
 
+    /// Whether the design runs under deterministic termination. Every
+    /// global op then takes a fixed latency, so
+    /// [`CompiledPipeline::execute`] reads no frame data and ignores
+    /// [`ExecuteOptions::seed`]: its report depends only on the design
+    /// and the options. [`Session::stream`] and the serving layer rely
+    /// on this to simulate such a design once per call or server run.
+    pub fn is_deterministic(&self) -> bool {
+        self.config.termination.is_some()
+    }
+
     /// Executes the compiled pipeline on the simulator and returns the
     /// unified report. Deterministic termination ⇒ strict buffers and
     /// fixed global-op latency; otherwise variable latency with elastic
     /// buffers. The engine follows [`ExecuteOptions::exec_mode`]
     /// (`Auto` = the event-driven fast path exactly when the design is
     /// deterministic); the resolved choice is recorded in
-    /// [`ExecutionReport::exec_mode`] and never changes results.
+    /// [`ExecutionReport::exec_mode`] and never changes results. Every
+    /// call runs an engine; nothing here keeps a report.
     pub fn execute(&self, options: &ExecuteOptions) -> ExecutionReport {
-        let deterministic = self.config.termination.is_some();
-        let (latency, policy) = if deterministic {
+        let (latency, policy) = if self.is_deterministic() {
             (GlobalLatencyModel::Deterministic, BufferPolicy::Strict)
         } else {
             (

@@ -23,7 +23,10 @@
 //! is marked exhausted only when the scheduler's next pull, which needs
 //! queue space, finds nothing. Its bounds cover depth 1 (watermark 0),
 //! depth 2 (every pop wakes) and depth 3, the first at which a pop
-//! skips the wake.
+//! skips the wake. The run's memo of deterministic reports is read
+//! inside the pop's critical section and filled inside the
+//! completion's, so it adds no step: a worker's unlocked execute step
+//! stands for an engine run or a copy alike.
 //!
 //! Three models, each with seeded sabotage variants that CI must report
 //! as caught (`sg_lint --mc`):
@@ -133,7 +136,7 @@ const S_EXIT: u8 = 11;
 const K_ACQ: u8 = 0; // acquire the state mutex (loop top)
 const K_LOOP: u8 = 1; // holding: pick/done-check/sleep
 const K_POP_NOTIFY: u8 = 2; // unlocked: the watermark wake
-const K_EXEC: u8 = 3; // unlocked: execute the job
+const K_EXEC: u8 = 3; // unlocked: execute the job (or copy its report)
 const K_DONE_ACQ: u8 = 4; // re-acquire to record the completion
 const K_DONE: u8 = 5; // holding: completed++, then unlock
 const K_DONE_NOTIFY: u8 = 6; // unlocked: the finish wake

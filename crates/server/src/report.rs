@@ -19,15 +19,18 @@ use crate::qos::QosClass;
 use crate::tenant::TenantId;
 
 /// One executed frame's wall-clock timing, split into the time it sat
-/// in its class queue and the wall time around its execution.
+/// in its class queue and the wall time the worker took to produce its
+/// report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameLatency {
     /// Nanoseconds between enqueue and worker pickup.
     pub queue_ns: u64,
-    /// Wall-clock nanoseconds around the worker's `execute` call. This
-    /// is not CPU time: it includes any time the worker was preempted
-    /// by other threads (the scheduler compiling, other workers, other
-    /// processes) while the frame ran.
+    /// Wall-clock nanoseconds the worker took to produce the frame's
+    /// report: an engine run, or, for a deterministic design that an
+    /// earlier frame of the run already executed under equal options, a
+    /// copy of that run's report. This is not CPU time: it includes any
+    /// time the worker was preempted by other threads (the scheduler
+    /// compiling, other workers, other processes) meanwhile.
     pub exec_ns: u64,
 }
 
@@ -55,8 +58,8 @@ pub struct LatencyStats {
     pub max_ms: f64,
     /// Mean queue wait, milliseconds.
     pub mean_queue_ms: f64,
-    /// Mean wall time around execution, milliseconds (see
-    /// [`FrameLatency::exec_ns`]).
+    /// Mean wall time to produce a frame's report, an engine run or a
+    /// copy of one, milliseconds (see [`FrameLatency::exec_ns`]).
     pub mean_exec_ms: f64,
 }
 

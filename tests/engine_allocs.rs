@@ -1,4 +1,4 @@
-//! Allocation budgets of a warm frame.
+//! Allocation budgets of a warm frame and of a cold request.
 //!
 //! Under deterministic termination a design's engine layout (validated
 //! graph, stepping order, per-stage edge lists, rates and volumes) is
@@ -6,10 +6,16 @@
 //! `CompiledPipeline::execute` allocates only its run state, the event
 //! engine's two snapshots and span watch, and the report's two per-edge
 //! vectors. A warm `Session::compile_frame` (a cache hit) allocates
-//! nothing, and a warm `Session::stream` adds only the frame's share of
-//! the report. These tests count allocations on the calling thread, with
-//! a counting global allocator, on `server-mix`'s six base designs and
-//! the 4608-element LiDAR registration design.
+//! nothing. A warm `Session::stream` runs each DT design once per call
+//! and clones that report (its two per-edge vectors) for every later
+//! frame on the design, so a one-frame call pays one engine run plus
+//! the call's two frame vectors, and a stream without DT still pays an
+//! engine run per frame. A cold `Session::run` pays the compile: the
+//! ILP solve, the certificate, the design's layout and the cache entry.
+//! These tests count allocations on the calling thread, with a counting
+//! global allocator, on `server-mix`'s six base designs and the
+//! 4608-element LiDAR registration design, and on every preset at
+//! `cold-compile`'s request sizes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -43,9 +49,30 @@ const STREAM_FRAMES: u64 = 64;
 /// Most allocations a warm `Session::compile_frame` may make.
 const COMPILE_FRAME_CEILING: u64 = 0;
 
+/// Most allocations a warm one-frame `Session::stream` may make: one
+/// engine run (12) plus the call's two frame vectors. A call with no
+/// repeated design pays nothing for the copies.
+const ONE_FRAME_CEILING: u64 = 14;
+
 /// Most allocations a warm 64-frame `Session::stream` may make: the
-/// measured count, 12 per frame plus the stream's two frame vectors.
-const STREAM_CEILING: u64 = 770;
+/// measured count, one engine run (12), two per copied report for the
+/// other 63 frames, and the call's two frame vectors.
+const STREAM_CEILING: u64 = 140;
+
+/// `cold-compile`'s chunk sizes span 256 to 655 elements over 4 chunks.
+const COLD_CHUNK_ELEMENTS: [u64; 7] = [256, 300, 360, 455, 512, 600, 655];
+
+/// Most allocations one cold `Session::run` may make, per preset: the
+/// measured maximum over [`COLD_CHUNK_ELEMENTS`] in one session (a
+/// session's first request and the one that grows its cache's map pay
+/// one more than the rest). All but the 14 of a warm one-frame stream
+/// are the compile and its cache entry.
+const COLD_RUN_CEILINGS: [(AppDomain, u64); 4] = [
+    (AppDomain::Classification, 378),
+    (AppDomain::Segmentation, 433),
+    (AppDomain::Registration, 387),
+    (AppDomain::NeuralRendering, 283),
+];
 
 /// The system allocator, counting every allocation and reallocation made
 /// on the current thread (test threads run side by side).
@@ -125,35 +152,104 @@ fn warm_frames_stay_within_their_allocation_ceilings() {
     let mut over = false;
     for (domain, elements) in DESIGNS {
         let mut session = csdt4().session(domain.spec());
-        let stream = |session: &mut Session| {
+        let stream = |session: &mut Session, frames: u64| {
+            session
+                .stream(
+                    SyntheticSource::new(elements, frames),
+                    &StreamOptions::default(),
+                )
+                .expect("preset streams")
+        };
+        // The first stream solves and caches the design.
+        let cold = stream(&mut session, STREAM_FRAMES);
+        let (frame, compile) = allocations(|| {
+            session.compile_frame(Frame::synthetic(0, elements), SizeBucketing::Exact)
+        });
+        assert_eq!(frame.expect("preset compiles").solves, 0);
+        let (one, one_frame) = allocations(|| stream(&mut session, 1));
+        assert!(
+            one.frames[..] == cold.frames[..1],
+            "{domain:?} at {elements}"
+        );
+        let (warm, streamed) = allocations(|| stream(&mut session, STREAM_FRAMES));
+        assert!(
+            warm.frames == cold.frames,
+            "{domain:?} at {elements}: frames differ"
+        );
+        assert_eq!(warm.solver_invocations, 0);
+        over |= compile > COMPILE_FRAME_CEILING
+            || one_frame > ONE_FRAME_CEILING
+            || streamed > STREAM_CEILING;
+        table.push(format!(
+            "{domain:?} at {elements}: compile_frame {compile}, one-frame stream {one_frame}, \
+             stream {streamed}"
+        ));
+    }
+    assert!(
+        !over,
+        "over a ceiling (compile_frame {COMPILE_FRAME_CEILING}, one-frame stream \
+         {ONE_FRAME_CEILING}, {STREAM_FRAMES}-frame stream {STREAM_CEILING}); measured:\n{}",
+        table.join("\n")
+    );
+}
+
+/// Without deterministic termination every frame runs an engine, so a
+/// CS-only stream allocates at least one run's count per frame.
+#[test]
+fn non_dt_streams_run_an_engine_per_frame() {
+    let fw = StreamGrid::new(StreamGridConfig::cs(SplitConfig::linear(4, 2)));
+    for (domain, elements) in DESIGNS {
+        let mut session = fw.session(domain.spec());
+        let design = session.compiled(elements).expect("preset compiles");
+        assert!(!design.is_deterministic());
+        let options = ExecuteOptions::for_spec(&domain.spec());
+        let cold = design.execute(&options);
+        let (warm, run) = allocations(|| design.execute(&options));
+        assert_eq!(warm, cold, "{domain:?} at {elements}: runs differ");
+        let (stream, streamed) = allocations(|| {
             session
                 .stream(
                     SyntheticSource::new(elements, STREAM_FRAMES),
                     &StreamOptions::default(),
                 )
                 .expect("preset streams")
-        };
-        // The first stream solves and caches the design.
-        let cold = stream(&mut session);
-        let (frame, compile) = allocations(|| {
-            session.compile_frame(Frame::synthetic(0, elements), SizeBucketing::Exact)
         });
-        assert_eq!(frame.expect("preset compiles").solves, 0);
-        let (warm, streamed) = allocations(|| stream(&mut session));
+        assert!(stream.frames.iter().all(|f| f.report == cold));
         assert!(
-            warm.frames == cold.frames,
-            "{domain:?} at {elements}: frames differ"
+            run > 0 && streamed >= STREAM_FRAMES * run,
+            "{domain:?} at {elements}: a {STREAM_FRAMES}-frame stream made {streamed} \
+             allocations, under one run's {run} per frame"
         );
-        assert_eq!(warm.solver_invocations, 0);
-        over |= compile > COMPILE_FRAME_CEILING || streamed > STREAM_CEILING;
+    }
+}
+
+#[test]
+fn cold_runs_stay_within_their_allocation_ceilings() {
+    let fw = csdt4();
+    let mut table = Vec::new();
+    let mut over = false;
+    for (domain, ceiling) in COLD_RUN_CEILINGS {
+        let mut session = fw.session(domain.spec());
+        let mut row = Vec::new();
+        for chunk in COLD_CHUNK_ELEMENTS {
+            let (report, n) = allocations(|| session.run(4 * chunk));
+            assert!(report.expect("preset compiles").is_clean());
+            over |= n > ceiling;
+            row.push(n.to_string());
+        }
+        assert_eq!(
+            session.solver_invocations(),
+            COLD_CHUNK_ELEMENTS.len() as u64
+        );
         table.push(format!(
-            "{domain:?} at {elements}: compile_frame {compile}, stream {streamed}"
+            "{domain:?} (ceiling {ceiling}): {}",
+            row.join(", ")
         ));
     }
     assert!(
         !over,
-        "over a ceiling (compile_frame {COMPILE_FRAME_CEILING}, \
-         {STREAM_FRAMES}-frame stream {STREAM_CEILING}); measured:\n{}",
+        "a cold Session::run went over its ceiling; measured per request at \
+         {COLD_CHUNK_ELEMENTS:?} elements per chunk:\n{}",
         table.join("\n")
     );
 }

@@ -25,8 +25,22 @@ fn cls_spec(name: &str) -> TenantSpec {
     TenantSpec::new(name, AppDomain::Classification.spec(), csdt4())
 }
 
+/// The same pipeline under compulsory splitting alone. Without
+/// deterministic termination every frame runs an engine; under CS+DT the
+/// server runs each design once per run and copies its report to later
+/// frames, which would drain a queue the saturation tests mean to back
+/// up.
+fn cs_only_spec(name: &str) -> TenantSpec {
+    TenantSpec::new(
+        name,
+        AppDomain::Classification.spec(),
+        StreamGridConfig::cs(SplitConfig::linear(4, 2)),
+    )
+}
+
 /// Execution options that force the cycle-accurate oracle — per-frame
-/// wall times long enough that queues genuinely back up on any host.
+/// wall times long enough that queues genuinely back up on any host,
+/// given work the server cannot copy ([`cs_only_spec`]).
 fn slow_exec() -> ExecuteOptions {
     ExecuteOptions::for_spec(&AppDomain::Classification.spec())
         .with_exec_mode(ExecMode::CycleAccurate)
@@ -275,7 +289,7 @@ fn interactive_p95_bounded_under_background_saturation() {
             StreamServer::new(ServerConfig::default().with_workers(1).with_queue_depth(2));
         server
             .submit(
-                cls_spec("fg")
+                cs_only_spec("fg")
                     .with_qos(QosClass::Interactive)
                     .with_exec(exec),
                 SyntheticSource::new(2400, 8),
@@ -284,7 +298,7 @@ fn interactive_p95_bounded_under_background_saturation() {
         for i in 0..background_tenants {
             server
                 .submit(
-                    cls_spec(&format!("bg{i}"))
+                    cs_only_spec(&format!("bg{i}"))
                         .with_qos(QosClass::Background)
                         .with_exec(exec),
                     SyntheticSource::new(2400, 6),
@@ -439,7 +453,7 @@ fn background_tenant_policy_overrides_server_config() {
     let mut server = StreamServer::new(ServerConfig::default().with_workers(1).with_queue_depth(2));
     server
         .submit(
-            cls_spec("fg")
+            cs_only_spec("fg")
                 .with_qos(QosClass::Interactive)
                 .with_exec(exec),
             SyntheticSource::new(1200, 4),
@@ -447,7 +461,7 @@ fn background_tenant_policy_overrides_server_config() {
         .unwrap();
     server
         .submit(
-            cls_spec("bg")
+            cs_only_spec("bg")
                 .with_qos(QosClass::Background)
                 .with_exec(exec)
                 .with_degraded_bucketing(SizeBucketing::Quantize(4800)),
@@ -484,7 +498,7 @@ fn background_degrades_to_coarser_buckets_under_pressure() {
     );
     server
         .submit(
-            cls_spec("fg")
+            cs_only_spec("fg")
                 .with_qos(QosClass::Interactive)
                 .with_exec(exec),
             SyntheticSource::new(1200, 4),
@@ -492,7 +506,7 @@ fn background_degrades_to_coarser_buckets_under_pressure() {
         .unwrap();
     server
         .submit(
-            cls_spec("bg")
+            cs_only_spec("bg")
                 .with_qos(QosClass::Background)
                 .with_exec(exec),
             SyntheticSource::new(1200, 8),
