@@ -529,8 +529,8 @@ impl CompiledPipeline {
     /// global op then takes a fixed latency, so
     /// [`CompiledPipeline::execute`] reads no frame data and ignores
     /// [`ExecuteOptions::seed`]: its report depends only on the design
-    /// and the options. [`Session::stream`] and the serving layer rely
-    /// on this to simulate such a design once per call or server run.
+    /// and the options. The serving layer relies on this to simulate
+    /// such a design once per server run.
     pub fn is_deterministic(&self) -> bool {
         self.config.termination.is_some()
     }

@@ -263,18 +263,6 @@ impl Session {
     /// slot; execution is deterministic, so the report is bit-identical
     /// to the sequential one.
     ///
-    /// Each deterministic-termination design runs once per call: a DT
-    /// design's report depends only on the design and the call's
-    /// [`ExecuteOptions`] ([`CompiledPipeline::is_deterministic`]), so a
-    /// later frame on the same compiled design (the same `Arc`, which
-    /// the call holds until it returns) gets a clone of the earlier
-    /// frame's [`ExecutionReport`], equal to what a fresh
-    /// [`CompiledPipeline::execute`] returns. Frames without DT always
-    /// run an engine: their seeded draw stands for content-dependent
-    /// latency. On one worker, a call whose frames all use different
-    /// designs clones and allocates nothing for this. Nothing is kept
-    /// after the call returns.
-    ///
     /// # Errors
     ///
     /// Propagates the first [`CompileError`] from the compile path.
@@ -409,85 +397,48 @@ pub struct CompiledFrame {
 }
 
 impl CompiledFrame {
-    /// Executes the frame's design into its [`FrameReport`]. This always
-    /// runs an engine ([`CompiledPipeline::execute`]); it is
-    /// [`Session::stream`] and the serving layer that copy a DT design's
-    /// report to later frames on the same design.
+    /// Executes the frame's design into its [`FrameReport`].
     pub fn execute(&self, options: &ExecuteOptions) -> FrameReport {
-        self.with_report(self.design.execute(options))
-    }
-
-    /// The frame's [`FrameReport`] around `report`, an execution of its
-    /// design: a fresh one, or a copy of one an earlier frame on the
-    /// same deterministic design made under the same options.
-    pub fn with_report(&self, report: ExecutionReport) -> FrameReport {
         FrameReport {
             frame: self.frame,
             scheduled_elements: self.scheduled_elements,
-            report,
+            report: self.design.execute(options),
         }
     }
-}
-
-/// The nearest frame before `i` whose design is `compiled[i]`'s own
-/// `Arc`, when that design is deterministic: its report is then
-/// `compiled[i]`'s too. `None` for frames that must run an engine.
-///
-/// A repeat scans back only to that nearest frame; a design new to the
-/// call scans every earlier frame, a pointer comparison each.
-fn earlier_run(compiled: &[CompiledFrame], i: usize) -> Option<usize> {
-    let design = &compiled[i].design;
-    if !design.is_deterministic() {
-        return None;
-    }
-    compiled[..i]
-        .iter()
-        .rposition(|c| Arc::ptr_eq(&c.design, design))
 }
 
 /// Executes `compiled[i]` for every `i` under shared `options`,
 /// returning reports in input order — the executor behind
 /// [`Session::stream`].
 ///
-/// A frame whose DT design an earlier frame already ran
-/// ([`earlier_run`]) gets a clone of that frame's report; every other
-/// frame runs an engine. `workers <= 1` runs inline. Otherwise the
-/// engine runs fan out over at most `min(workers, runs)` scoped threads
-/// draining a shared index counter (a thousand-frame stream never
-/// spawns a thousand threads); each worker returns its `(index,
-/// report)` pairs through its join handle, the results land in their
-/// ordered slots, and the copies fill in afterwards, in frame order.
-/// Execution is deterministic, so the output is bit-identical for every
-/// worker count.
+/// `workers <= 1` runs inline. Otherwise at most
+/// `min(workers, jobs)` scoped threads drain a shared index counter
+/// (a thousand-frame stream never spawns a thousand threads); each
+/// worker returns its `(index, report)` pairs through its join handle
+/// and the results land in their ordered slots. Execution is
+/// deterministic, so the output is bit-identical for every worker
+/// count.
 fn execute_ordered(
     compiled: &[CompiledFrame],
     options: &ExecuteOptions,
     workers: usize,
 ) -> Vec<FrameReport> {
-    if workers.min(compiled.len()) <= 1 {
-        let mut reports: Vec<FrameReport> = Vec::with_capacity(compiled.len());
-        for (i, frame) in compiled.iter().enumerate() {
-            reports.push(match earlier_run(compiled, i) {
-                Some(j) => frame.with_report(reports[j].report.clone()),
-                None => frame.execute(options),
-            });
-        }
-        return reports;
+    let workers = workers.min(compiled.len());
+    if workers <= 1 {
+        return compiled.iter().map(|c| c.execute(options)).collect();
     }
-    let origins: Vec<Option<usize>> = (0..compiled.len())
-        .map(|i| earlier_run(compiled, i))
-        .collect();
-    let runs: Vec<usize> = (0..compiled.len())
-        .filter(|&i| origins[i].is_none())
-        .collect();
     let next = AtomicUsize::new(0);
     let mut reports: Vec<Option<FrameReport>> = vec![None; compiled.len()];
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(runs.len()))
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
-                    while let Some(&i) = runs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= compiled.len() {
+                            break;
+                        }
                         done.push((i, compiled[i].execute(options)));
                     }
                     done
@@ -500,16 +451,9 @@ fn execute_ordered(
             }
         }
     });
-    // An origin precedes its copy, so it is filled by now.
-    for (i, origin) in origins.into_iter().enumerate() {
-        if let Some(j) = origin {
-            let report = reports[j].as_ref().expect("an origin runs or copies first");
-            reports[i] = Some(compiled[i].with_report(report.report.clone()));
-        }
-    }
     reports
         .into_iter()
-        .map(|r| r.expect("every frame ran or copied an earlier run"))
+        .map(|r| r.expect("every index was drained from the queue"))
         .collect()
 }
 

@@ -35,9 +35,9 @@
 //! directly, because the server's per-frame path is the session's own
 //! step: [`Session::compile_frame`](streamgrid_core::session::Session::compile_frame)
 //! buckets and compiles through the cache, and the returned frame
-//! executes with the tenant's resolved options. Like the session within
-//! one call, the server runs each deterministic design once per run
-//! under each options value and copies that report to later frames.
+//! executes with the tenant's resolved options. The server runs each
+//! deterministic design once per run under each options value and
+//! copies that report to later frames, which a fresh run would equal.
 //!
 //! The concurrency anchor: the scheduling, admission and wake
 //! decisions are pure functions in [`protocol`], and [`mc`]

@@ -27,30 +27,28 @@
 //!   the bound, or a completion that finishes a tenant. Every notify
 //!   comes after the mutex is released. On a `server-mix`-shaped fleet
 //!   (64 tenants × 100 frames, one worker, pinned to one CPU) a served
-//!   frame costs about 0.5 context switches now that DT frames copy
-//!   their design's report, 0.8 when every frame ran an engine, and
-//!   about 6.8 when every pop and completion woke the scheduler under
-//!   the lock.
+//!   frame costs about 0.5 context switches.
 //!
-//! The per-frame path is literally [`Session::stream`]'s: the scheduler
-//! calls the same [`Session::compile_frame`] step (bucket, compile
-//! through the cache, count the solves), and a worker runs
+//! The per-frame path is [`Session::stream`]'s: the scheduler calls the
+//! same [`Session::compile_frame`] step (bucket, compile through the
+//! cache, count the solves), and a worker runs
 //! [`CompiledFrame::execute`] with the tenant's resolved options. So a
 //! single admitted tenant's [`FrameReport`]s are bit-identical to
 //! calling [`Session::stream`] directly. That is the server's
 //! correctness anchor, pinned in `tests/server_qos.rs`.
 //!
-//! Like [`Session::stream`] within one call, the server simulates each
-//! deterministic-termination design once per [`StreamServer::run`]:
-//! such a design's report depends only on the design and the options
+//! One step differs: the server simulates each
+//! deterministic-termination design once per [`StreamServer::run`].
+//! Such a design's report depends only on the design and the options
 //! ([`CompiledPipeline::is_deterministic`]), so a frame on a DT design
 //! that an earlier frame of the run already executed under equal
 //! options, for any tenant, gets a clone of that report instead of an
 //! engine run. The run's shared state keeps those reports: a worker
 //! reads them under the lock it takes to pop and adds its own under the
 //! lock it takes to record, so the dispatch handshake `crate::mc`
-//! checks is unchanged. Nothing outlives the run. Frames without DT
-//! always run an engine.
+//! checks is unchanged. The reports go when their design leaves the
+//! cache and its last queued frame, and all of them when the run
+//! returns. Frames without DT always run an engine.
 //!
 //! [`CompiledPipeline:: execute`]: streamgrid_core::framework::CompiledPipeline::execute
 //! [`Session`]: streamgrid_core::session::Session
@@ -63,7 +61,7 @@
 //! [`QosClass::Interactive`]: crate::QosClass::Interactive
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use streamgrid_core::cache::SharedCache;
@@ -95,8 +93,8 @@ pub struct ServerConfig {
     /// sleeps only once every pullable queue is full, and a worker wakes
     /// it when a pop leaves that queue at or below `queue_depth / 2`, or
     /// when a completion finishes a tenant. A deeper queue thus means
-    /// fewer scheduler round trips per frame: about 0.5 context switches
-    /// per served frame at the default depth 4 with one worker.
+    /// fewer scheduler round trips per frame (the module docs give the
+    /// measured rate at the default depth 4 with one worker).
     pub queue_depth: usize,
     /// Load tokens the admission ledger starts with (one token ≈ one
     /// projected frame).
@@ -261,10 +259,7 @@ enum FrameOutcome {
 /// below half the bound ([`pop_wakes_scheduler`]) or its completion
 /// finishes a tenant ([`tenant_finished`]); the scheduler refills every
 /// pullable queue to full before it sleeps, so nothing else can give it
-/// work. On a `server-mix`-shaped fleet (64 tenants × 100 frames, one
-/// worker, one CPU) that is about 0.5 context switches per served frame
-/// (0.8 when every frame ran an engine), down from about 6.8 when every
-/// pop and completion woke the scheduler under the lock.
+/// work (the module docs give the measured context switches per frame).
 struct SyncState {
     state: Mutex<State>,
     work: Condvar,
@@ -302,13 +297,17 @@ struct State {
 struct ReportMemo {
     /// Keyed by the design's address.
     designs: HashMap<usize, DesignReports>,
+    /// Entries left by the last prune of freed designs.
+    pruned_len: usize,
 }
 
 /// One design's reports, one per distinct options value.
 struct DesignReports {
-    /// Holds the keyed design, so its address cannot be freed and
-    /// reused by another design while the memo lives.
-    _design: Arc<CompiledPipeline>,
+    /// The keyed design. A `Weak` keeps the `Arc`'s allocation, so no
+    /// other design can take its address while the entry lives, but
+    /// not the design: one the cache evicts is freed once its last
+    /// queued frame is done.
+    design: Weak<CompiledPipeline>,
     reports: Vec<(ExecuteOptions, Arc<ExecutionReport>)>,
 }
 
@@ -333,20 +332,26 @@ impl ReportMemo {
     }
 
     /// Keeps `report`, an engine run of the deterministic `design`
-    /// under `exec`, unless another worker already kept one.
+    /// under `exec`, unless another worker already kept one. Once the
+    /// memo has doubled since its last prune, a design new to it first
+    /// drops the entries of freed designs: the memo stays within about
+    /// twice the designs alive, at an amortized constant cost.
     fn insert(
         &mut self,
         design: &Arc<CompiledPipeline>,
         exec: &ExecuteOptions,
         report: Arc<ExecutionReport>,
     ) {
-        let kept = self
-            .designs
-            .entry(Arc::as_ptr(design) as usize)
-            .or_insert_with(|| DesignReports {
-                _design: Arc::clone(design),
-                reports: Vec::new(),
-            });
+        let key = Arc::as_ptr(design) as usize;
+        if self.designs.len() >= 2 * self.pruned_len.max(8) && !self.designs.contains_key(&key) {
+            self.designs
+                .retain(|_, kept| kept.design.strong_count() > 0);
+            self.pruned_len = self.designs.len();
+        }
+        let kept = self.designs.entry(key).or_insert_with(|| DesignReports {
+            design: Arc::downgrade(design),
+            reports: Vec::new(),
+        });
         if !kept.reports.iter().any(|(options, _)| options == exec) {
             kept.reports.push((*exec, report));
         }
@@ -796,7 +801,11 @@ fn worker_loop(shared: &SyncState, queue_depth: usize) {
             _ => {
                 let t0 = Instant::now();
                 let report = Box::new(match &known {
-                    Some(report) => job.frame.with_report(ExecutionReport::clone(report)),
+                    Some(report) => FrameReport {
+                        frame: job.frame.frame,
+                        scheduled_elements: job.frame.scheduled_elements,
+                        report: ExecutionReport::clone(report),
+                    },
                     None => job.frame.execute(&job.exec),
                 });
                 let exec_ns = t0.elapsed().as_nanos() as u64;
@@ -956,5 +965,44 @@ fn assemble_report(
         solver_invocations,
         workers,
         lints: LintSummary::from_diagnostics(&all_diags),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use streamgrid_core::apps::AppDomain;
+    use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
+
+    #[test]
+    fn memo_keeps_live_designs_and_drops_freed_ones() {
+        let domain = AppDomain::Classification;
+        let design = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)))
+            .compile(domain, 1200)
+            .expect("preset compiles");
+        let exec = ExecuteOptions::for_domain(domain);
+        let heavy = ExecuteOptions {
+            macs_per_element: 2.0 * exec.macs_per_element,
+            ..exec
+        };
+        let report = Arc::new(design.execute(&exec));
+        let mut memo = ReportMemo::default();
+        let live: Vec<Arc<CompiledPipeline>> = (0..40).map(|_| Arc::new(design.clone())).collect();
+        for d in &live {
+            memo.insert(d, &exec, Arc::clone(&report));
+        }
+        for _ in 0..400 {
+            let freed = Arc::new(design.clone());
+            memo.insert(&freed, &exec, Arc::clone(&report));
+            assert!(memo.get(&freed, &exec).is_some());
+            assert!(memo.get(&freed, &heavy).is_none());
+        }
+        assert!(live.iter().all(|d| memo.get(d, &exec).is_some()));
+        assert!(
+            memo.designs.len() <= 2 * live.len(),
+            "{} entries for {} live designs",
+            memo.designs.len(),
+            live.len()
+        );
     }
 }
