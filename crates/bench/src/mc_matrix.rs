@@ -11,11 +11,12 @@ use streamgrid_serve::{
 };
 use streamgrid_verify::{McConfig, McReport};
 
-/// Per-model state-count budgets, roughly 4× the exhaustive count the
-/// shipped models explore at their largest bounded configuration.
-/// Every row runs under its model's budget, and a truncated exploration
-/// never passes — so silent state-space growth (a model edit that blows
-/// up exploration) fails CI instead of burning it.
+/// Per-model state-count budgets: 3.6× the exhaustive count of the
+/// largest dispatch row (3,449 states at `2w q3 f4`), 59× the ledger's
+/// (17) and 6.2× the WFQ pick's (324). Every row runs under its model's
+/// budget, and a truncated exploration never passes — so silent
+/// state-space growth (a model edit that blows up exploration) fails CI
+/// instead of burning it.
 pub const BUDGETS: [(&str, u64); 3] = [
     ("work-space-dispatch", 12_500),
     ("ledger-waitlist", 1_000),

@@ -223,11 +223,6 @@ pub struct ExecutionReport {
     /// not change results: both engines are bit-identical wherever both
     /// are exact.
     pub exec_mode: EngineMode,
-    /// The engine selection as *requested* ([`ExecuteOptions::
-    /// exec_mode`] verbatim). Differs from [`ExecutionReport::exec_mode`]
-    /// when `Auto` resolved (to the event engine under deterministic
-    /// termination, to the oracle otherwise).
-    pub exec_requested: ExecMode,
     /// Compile-time linter findings for the executed design.
     pub lints: LintSummary,
 }
@@ -299,10 +294,11 @@ impl StreamGrid {
     /// compiled design leaves here certified.
     ///
     /// Without deterministic termination the ILP sizes cannot be trusted
-    /// at runtime — global-op latency varies — so the compiled design
-    /// over-provisions every buffer by the latency margin, exactly as
-    /// `streamgrid_sim::evaluate` models for the Base/CS variants. Only
-    /// CS+DT keeps the exact ILP sizes (the paper's claim).
+    /// at runtime — global-op latency varies — so the Base and CS designs
+    /// over-provision every buffer by the latency margin. Only CS+DT
+    /// keeps the exact ILP sizes (the paper's claim). Every design point
+    /// is sized here: this is the only caller of `provision` outside the
+    /// optimizer.
     ///
     /// # Errors
     ///
@@ -575,7 +571,6 @@ impl CompiledPipeline {
             energy: run_report.energy,
             run: run_report,
             exec_mode: engine,
-            exec_requested: options.exec_mode,
             lints: LintSummary::from_diagnostics(&self.lints),
         }
     }
@@ -798,7 +793,6 @@ mod tests {
             energy: tiny.energy,
             run: tiny,
             exec_mode: EngineMode::EventDriven,
-            exec_requested: ExecMode::Auto,
             lints: full.lints.clone(),
         };
         assert!(!report.is_clean());

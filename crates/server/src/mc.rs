@@ -499,22 +499,6 @@ impl Model for DispatchModel {
             s.done
         )
     }
-
-    fn is_local(&self, s: &DispatchState, tid: usize) -> bool {
-        // The unlocked pull/execute steps only advance the thread's own
-        // pc (the pull reads `pulled`, which only the scheduler writes):
-        // no shared writes, no invariant visibility, no effect on any
-        // other thread's enabledness.
-        if tid == SCHED {
-            s.s_pc == S_PULL
-        } else {
-            s.w_pc[tid - 1] == K_EXEC
-        }
-    }
-
-    fn independent(&self, s: &DispatchState, a: usize, b: usize) -> bool {
-        self.is_local(s, a) || self.is_local(s, b)
-    }
 }
 
 /// Exhaustively explores the chosen dispatch [`DispatchVariant`] within
@@ -1013,25 +997,6 @@ mod tests {
             let report = check_dispatch(&config, DispatchVariant::Correct, &McConfig::default());
             assert!(report.passed(), "{config:?}: {:?}", report.violation);
             assert!(report.states_explored > 50, "{report:?}");
-        }
-    }
-
-    #[test]
-    fn dispatch_reduction_agrees_with_full_exploration() {
-        // The sleep-set/ample-set reduction must change the state count,
-        // never the verdict.
-        let full = McConfig::default().without_reduction();
-        let reduced = McConfig::default();
-        for variant in [
-            DispatchVariant::Correct,
-            DispatchVariant::SkipWorkNotify,
-            DispatchVariant::PopWithoutRecheck,
-            DispatchVariant::NoFinishNotify,
-        ] {
-            let r = check_dispatch(&DispatchConfig::default(), variant, &reduced);
-            let f = check_dispatch(&DispatchConfig::default(), variant, &full);
-            assert_eq!(r.passed(), f.passed(), "{variant:?}");
-            assert!(r.states_explored <= f.states_explored, "{variant:?}");
         }
     }
 

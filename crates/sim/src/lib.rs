@@ -1,6 +1,9 @@
 //! Cycle-level streaming accelerator simulator for StreamGrid.
 //!
-//! This crate is the Sec. 7 evaluation substrate:
+//! This crate is the Sec. 7 evaluation substrate. It runs designs; it
+//! does not build them: the paper's Base, CS and CS+DT design points are
+//! `StreamGridConfig`s that `streamgrid-core` compiles, and Fig. 18's
+//! `Base+$` overlays [`CacheModel`] on the Base design's run.
 //!
 //! * [`engine`] — execution of a scheduled dataflow graph with bounded
 //!   line buffers, rational stage throughputs, and optional
@@ -13,8 +16,6 @@
 //!   stall/elision, LPDDR3-1600×4 bandwidth/energy, and the
 //!   fully-associative cache model for `Base+$`;
 //! * [`energy`] — the shared analytic energy model;
-//! * [`variants`] — the paper's Base / Base+$ / CS / CS+DT design
-//!   points;
 //! * [`priors`] — analytic models of PointAcc, Mesorasi, QuickNN,
 //!   Tigris, and GScore for the Fig. 18 comparison.
 //!
@@ -30,7 +31,6 @@ pub mod engine;
 pub mod linebuffer;
 pub mod priors;
 pub mod sram;
-pub mod variants;
 
 pub use cache::{CacheModel, CacheReport};
 pub use dram::DramModel;
@@ -42,4 +42,3 @@ pub use engine::{
 pub use linebuffer::LineBuffer;
 pub use priors::{HwBudget, PriorReport, WorkloadProfile};
 pub use sram::{BankedSram, ConflictPolicy, SramStats};
-pub use variants::{evaluate, evaluate_all, Variant, VariantConfig, VariantReport};

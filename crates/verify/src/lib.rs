@@ -21,10 +21,10 @@
 //! 3. [`mc`] — the **unified model-checking harness**: a reusable
 //!    hand-rolled bounded exhaustive-interleaving explorer (loom-style,
 //!    zero dependencies) with modeled atomics/`Mutex`/`Condvar`, a
-//!    visited-state-memoized DFS with a sleep-set/partial-order
-//!    reduction, state-count budgets, and a [`Model`] trait stating
-//!    safety invariants and termination obligations. The serving
-//!    layer's protocol models in `streamgrid-serve` plug into it.
+//!    visited-state-memoized DFS, state-count budgets, and a [`Model`]
+//!    trait stating safety invariants and termination obligations. The
+//!    serving layer's protocol models in `streamgrid-serve` plug into
+//!    it.
 //!
 //! The crate depends only on `streamgrid-dataflow` (for [`Rate`]) so
 //! the optimizer, the core framework, the serving layer, and the bench

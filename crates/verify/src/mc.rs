@@ -27,15 +27,6 @@
 //!   marked [`McReport::truncated`]) when the visited set exceeds
 //!   [`McConfig::max_states`], so CI can gate on an explicit budget
 //!   instead of a wall clock.
-//! - **A simple sleep-set / partial-order reduction**: models may
-//!   declare a thread's next transition *local* ([`Model::is_local`]:
-//!   touches no shared state, invisible to invariants) or two threads'
-//!   next transitions *independent* ([`Model::independent`]: they
-//!   commute and neither disables the other). Local transitions are
-//!   explored alone (an ample set of one); independent siblings feed a
-//!   classic sleep set so commuted interleavings are pruned. Both hooks
-//!   default to `false`, making the default exploration plainly
-//!   exhaustive.
 //!
 //! Shared-memory building blocks ([`McMutex`], [`McCondvar`]) model the
 //! `std::sync` primitives the real protocols use. Sequentially-consistent
@@ -197,32 +188,9 @@ pub trait Model {
     fn deadlock(&self, s: &Self::State) -> String {
         format!("deadlock: no thread can advance from {s:?}")
     }
-
-    /// Partial-order-reduction hint: thread `tid`'s next transition at
-    /// `s` is purely thread-local — it reads and writes no shared
-    /// state, no invariant mentions what it changes, and no other
-    /// thread's enabledness depends on it. When a local transition is
-    /// enabled the harness explores it *alone* (an ample set of one),
-    /// which is sound exactly under those conditions. Defaults to
-    /// `false` (no reduction).
-    fn is_local(&self, s: &Self::State, tid: usize) -> bool {
-        let _ = (s, tid);
-        false
-    }
-
-    /// Sleep-set hint: the next transitions of threads `a` and `b` at
-    /// `s` are independent — executing them in either order reaches
-    /// the same state, and neither disables the other. The harness uses
-    /// this to prune commuted interleavings. Defaults to `false` (no
-    /// reduction); a model must only return `true` when commutation
-    /// genuinely holds *at `s`*.
-    fn independent(&self, s: &Self::State, a: usize, b: usize) -> bool {
-        let _ = (s, a, b);
-        false
-    }
 }
 
-/// Exploration bounds and switches.
+/// Exploration bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McConfig {
     /// Visited-state budget: exploration stops (reported as
@@ -230,11 +198,6 @@ pub struct McConfig {
     /// this many distinct states have been visited. A truncated run is
     /// *not* a proof, so budgets are deliberately part of the verdict.
     pub max_states: u64,
-    /// Apply the sleep-set / local-step partial-order reduction. On by
-    /// default; turning it off forces the plain exhaustive exploration
-    /// (useful for validating a model's reduction hints: verdicts must
-    /// not change).
-    pub reduction: bool,
 }
 
 impl Default for McConfig {
@@ -244,7 +207,6 @@ impl Default for McConfig {
     fn default() -> Self {
         McConfig {
             max_states: 5_000_000,
-            reduction: true,
         }
     }
 }
@@ -253,12 +215,6 @@ impl McConfig {
     /// A config with an explicit state budget.
     pub fn with_max_states(mut self, max_states: u64) -> Self {
         self.max_states = max_states;
-        self
-    }
-
-    /// Disables the partial-order reduction.
-    pub fn without_reduction(mut self) -> Self {
-        self.reduction = false;
         self
     }
 }
@@ -402,42 +358,37 @@ impl McCondvar {
 pub fn explore<M: Model>(model: &M, config: &McConfig) -> McReport {
     let threads = model.threads();
     assert!(threads >= 1, "model needs at least one thread");
-    assert!(threads <= 32, "thread ids must fit the sleep-set mask");
 
-    // Stack entries: (state, sleep-set bitmask, depth).
+    // Stack entries: (state, depth).
     let initial = model.initial();
-    let mut visited: HashSet<(M::State, u32)> = HashSet::new();
-    visited.insert((initial.clone(), 0));
-    let mut stack: Vec<(M::State, u32, u64)> = vec![(initial, 0, 0)];
+    let mut visited: HashSet<M::State> = HashSet::new();
+    visited.insert(initial.clone());
+    let mut stack: Vec<(M::State, u64)> = vec![(initial, 0)];
 
     let mut transitions = 0u64;
     let mut max_depth = 0u64;
     let mut violation = None;
     let mut truncated = false;
-    // Scratch buffers, reused across expansions.
-    let mut succs: Vec<Vec<M::State>> = (0..threads).map(|_| Vec::new()).collect();
+    // Scratch buffer, reused across expansions.
+    let mut succs: Vec<M::State> = Vec::new();
 
-    'dfs: while let Some((s, sleep, depth)) = stack.pop() {
+    'dfs: while let Some((s, depth)) = stack.pop() {
         max_depth = max_depth.max(depth);
         if let Err(v) = model.invariant(&s) {
             violation = Some(v);
             break;
         }
 
-        // Ask every thread for its successors (the enabled set).
-        let mut enabled: u32 = 0;
-        for (tid, out) in succs.iter_mut().enumerate() {
-            out.clear();
-            if let Err(v) = model.step(&s, tid, out) {
+        // Every enabled thread's successors, in thread order.
+        succs.clear();
+        for tid in 0..threads {
+            if let Err(v) = model.step(&s, tid, &mut succs) {
                 violation = Some(v);
                 break 'dfs;
             }
-            if !out.is_empty() {
-                enabled |= 1 << tid;
-            }
         }
 
-        if enabled == 0 {
+        if succs.is_empty() {
             if !model.is_terminal(&s) {
                 violation = Some(model.deadlock(&s));
                 break;
@@ -449,63 +400,17 @@ pub fn explore<M: Model>(model: &M, config: &McConfig) -> McReport {
             continue;
         }
 
-        let explorable = if config.reduction {
-            enabled & !sleep
-        } else {
-            enabled
-        };
-        // Every enabled transition is asleep: each is explored from an
-        // earlier branch point whose commuted path reaches the same
-        // states, so this state is a (sound) leaf of this branch.
-        if explorable == 0 {
-            continue;
-        }
-
-        // Ample set of one: a local transition commutes with everything
-        // and is invisible, so exploring it alone covers all schedules.
-        let local =
-            (0..threads).find(|&tid| explorable & (1 << tid) != 0 && model.is_local(&s, tid));
-        let ample: Vec<usize> = match (config.reduction, local) {
-            (true, Some(tid)) => vec![tid],
-            _ => (0..threads)
-                .filter(|&t| explorable & (1 << t) != 0)
-                .collect(),
-        };
-
-        // Sleep-set propagation (Godefroid): after exploring thread
-        // `t_i`, later siblings' subtrees may skip `t_i` wherever it
-        // stays independent; a successor inherits the sleepers that are
-        // independent of the transition just taken.
-        let mut explored_mask: u32 = 0;
-        for &tid in &ample {
-            let inherited = sleep | explored_mask;
-            let mut next_sleep = 0u32;
-            if config.reduction {
-                for other in 0..threads {
-                    if inherited & (1 << other) != 0 && model.independent(&s, other, tid) {
-                        next_sleep |= 1 << other;
-                    }
-                }
+        for n in succs.drain(..) {
+            transitions += 1;
+            if visited.contains(&n) {
+                continue;
             }
-            // A local ample-of-one keeps the whole sleep set: it is
-            // independent of every sleeper by definition.
-            if local == Some(tid) && config.reduction {
-                next_sleep = sleep;
+            if visited.len() as u64 >= config.max_states {
+                truncated = true;
+                break 'dfs;
             }
-            for n in succs[tid].drain(..) {
-                transitions += 1;
-                let key = (n, next_sleep);
-                if visited.contains(&key) {
-                    continue;
-                }
-                if visited.len() as u64 >= config.max_states {
-                    truncated = true;
-                    break 'dfs;
-                }
-                stack.push((key.0.clone(), next_sleep, depth + 1));
-                visited.insert(key);
-            }
-            explored_mask |= 1 << tid;
+            stack.push((n.clone(), depth + 1));
+            visited.insert(n);
         }
     }
 
@@ -737,86 +642,6 @@ mod tests {
         assert_eq!(cv.notify_all(), (1 << 1) | (1 << 3));
         assert!(!cv.has_waiters());
         assert!(McCondvar::empty().notify_one().is_empty(), "lost notify");
-    }
-
-    /// Two threads each take two purely-local steps (private counters,
-    /// invisible to every invariant) before one shared store. The
-    /// reduction hooks declare the local steps local and mutually
-    /// independent; the reduced run must reach the same verdict while
-    /// visiting strictly fewer states than the plain exhaustive run.
-    struct LocalStepModel;
-
-    impl Model for LocalStepModel {
-        type State = (u8, u8, u8); // (thread-0 pc, thread-1 pc, shared)
-
-        fn name(&self) -> &'static str {
-            "local-steps"
-        }
-
-        fn threads(&self) -> usize {
-            2
-        }
-
-        fn initial(&self) -> (u8, u8, u8) {
-            (0, 0, 0)
-        }
-
-        fn step(
-            &self,
-            s: &(u8, u8, u8),
-            tid: usize,
-            out: &mut Vec<(u8, u8, u8)>,
-        ) -> Result<(), String> {
-            let pc = if tid == 0 { s.0 } else { s.1 };
-            if pc >= 3 {
-                return Ok(());
-            }
-            let mut n = *s;
-            if tid == 0 {
-                n.0 += 1;
-            } else {
-                n.1 += 1;
-            }
-            if pc == 2 {
-                n.2 += 1; // the one shared store
-            }
-            out.push(n);
-            Ok(())
-        }
-
-        fn is_terminal(&self, s: &(u8, u8, u8)) -> bool {
-            s.0 == 3 && s.1 == 3
-        }
-
-        fn on_terminal(&self, s: &(u8, u8, u8)) -> Result<(), String> {
-            if s.2 != 2 {
-                return Err(format!("expected 2 shared stores, saw {}", s.2));
-            }
-            Ok(())
-        }
-
-        fn is_local(&self, s: &(u8, u8, u8), tid: usize) -> bool {
-            (if tid == 0 { s.0 } else { s.1 }) < 2
-        }
-
-        fn independent(&self, s: &(u8, u8, u8), a: usize, b: usize) -> bool {
-            self.is_local(s, a) || self.is_local(s, b)
-        }
-    }
-
-    #[test]
-    fn reduction_preserves_the_verdict_and_prunes_states() {
-        let reduced = explore(&LocalStepModel, &McConfig::default());
-        let full = explore(&LocalStepModel, &McConfig::default().without_reduction());
-        assert!(reduced.passed(), "violation: {:?}", reduced.violation);
-        assert!(full.passed(), "violation: {:?}", full.violation);
-        assert!(
-            reduced.states_explored < full.states_explored,
-            "reduction explored {} vs full {}",
-            reduced.states_explored,
-            full.states_explored
-        );
-        assert_eq!(full.states_explored, 16, "4x4 pc lattice");
     }
 
     #[test]

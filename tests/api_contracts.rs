@@ -6,7 +6,7 @@ use streamgrid_dataflow::{DataflowGraph, Shape};
 use streamgrid_ilp::Solution;
 use streamgrid_optimizer::Schedule;
 use streamgrid_pointcloud::{Aabb, ChunkPartition, GridDims, Point3, PointCloud, WindowSpec};
-use streamgrid_sim::{EnergyBreakdown, EnergyModel, RunReport, VariantConfig};
+use streamgrid_sim::{EnergyBreakdown, EnergyModel, RunReport};
 
 fn assert_send_sync<T: Send + Sync>() {}
 
@@ -258,7 +258,6 @@ fn data_types_serialize_completely() {
     assert!(serde_json_like(&e).fields >= 3);
 
     assert!(serde_json_like(&EnergyModel::default()).fields >= 6);
-    assert!(serde_json_like(&VariantConfig::new(100)).fields >= 5);
 }
 
 #[test]

@@ -11,7 +11,6 @@ use streamgrid_core::pipeline::PipelineSpec;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_dataflow::Shape;
 use streamgrid_optimizer::{build, edge_infos, FormulationKind};
-use streamgrid_sim::{evaluate, EnergyModel, Variant, VariantConfig};
 
 #[test]
 fn csdt_runs_clean_across_all_domains_and_chunkings() {
@@ -143,47 +142,23 @@ fn pruned_and_full_formulations_agree_on_apps() {
 #[test]
 fn variant_ordering_matches_paper() {
     // On-chip buffers: CS+DT ≤ CS < Base; stalls: CS+DT = 0 < others.
-    let mut graph = AppDomain::Classification.spec().into_graph();
-    StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)).apply(&mut graph);
-    let cfg = VariantConfig::new(4 * 900);
-    let energy = EnergyModel::default();
-    let base = evaluate(&graph, Variant::Base, &cfg, &energy).unwrap();
-    let cs = evaluate(&graph, Variant::Cs, &cfg, &energy).unwrap();
-    let csdt = evaluate(&graph, Variant::CsDt, &cfg, &energy).unwrap();
-    assert!(csdt.onchip_bytes <= cs.onchip_bytes);
-    assert!(cs.onchip_bytes < base.onchip_bytes);
-    assert_eq!(csdt.stall_cycles, 0);
+    let split = SplitConfig::linear(4, 2);
+    let run = |config| {
+        StreamGrid::new(config)
+            .execute(AppDomain::Classification, 4 * 900)
+            .unwrap()
+    };
+    let base = run(StreamGridConfig::base());
+    let cs = run(StreamGridConfig::cs(split));
+    let csdt = run(StreamGridConfig::cs_dt(split));
+    assert!(csdt.onchip_bytes() <= cs.onchip_bytes());
+    assert!(cs.onchip_bytes() < base.onchip_bytes());
+    assert_eq!(csdt.run.stall_cycles, 0);
     assert!(
-        base.starved_cycles > 0,
+        base.run.starved_cycles > 0,
         "non-determinism must cost Base bubbles"
     );
     assert!(csdt.energy.total_pj() < base.energy.total_pj());
-}
-
-#[test]
-fn evaluate_provisions_what_compile_provisions() {
-    // `evaluate`'s CS+DT design point must provision exactly the buffers
-    // a compiled design carries, full-lattice certificate included; the
-    // Base+$ cache is sized from it. fig18_prior_comparison's Base+$
-    // configuration: classification, CS+DT `linear(4, 2)`, 3 × 4096
-    // elements.
-    let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
-    let elements = 4096 * 3;
-    let mut graph = AppDomain::Classification.spec().into_graph();
-    config.apply(&mut graph);
-    let cfg = VariantConfig {
-        macs_per_element: 2048.0,
-        ..VariantConfig::new(elements)
-    };
-    let energy = EnergyModel::default();
-    let csdt = evaluate(&graph, Variant::CsDt, &cfg, &energy).unwrap();
-    let cache = evaluate(&graph, Variant::BaseCache, &cfg, &energy).unwrap();
-    let compiled = StreamGrid::new(config)
-        .compile(AppDomain::Classification, elements)
-        .unwrap()
-        .summary();
-    assert_eq!(csdt.onchip_bytes, compiled.onchip_bytes);
-    assert_eq!(cache.onchip_bytes, compiled.onchip_bytes);
 }
 
 #[test]
