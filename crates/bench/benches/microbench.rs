@@ -2,16 +2,20 @@
 //! variants (the Base vs CS vs CS+DT spectrum), sorting variants, the
 //! line-buffer ILP solve, the certification a compile pays, the
 //! cycle-level engine's simulation rate, the whole per-frame `execute`
-//! call, and the LiDAR scanner's cost per sweep.
+//! call, a warm schedule-cache hit, a whole multi-tenant server run,
+//! and the LiDAR scanner's cost per sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use streamgrid_core::apps::AppDomain;
+use streamgrid_core::cache::SharedCache;
 use streamgrid_core::framework::{ExecuteOptions, StreamGrid};
+use streamgrid_core::source::SyntheticSource;
 use streamgrid_core::transform::{SplitConfig, StreamGridConfig};
 use streamgrid_optimizer::{edge_infos, optimize, plan_multi_chunk};
 use streamgrid_pointcloud::datasets::lidar::{scan, trajectory, LidarConfig, Scene};
 use streamgrid_pointcloud::{Aabb, ChunkGrid, GridDims, Point3, WindowSpec};
+use streamgrid_serve::{QosClass, ServerConfig, StreamServer, TenantSpec};
 use streamgrid_sim::{run, run_with, EnergyModel, EngineConfig, EngineMode};
 use streamgrid_spatial::kdtree::{KdTree, StepBudget, TraversalOrder};
 use streamgrid_spatial::sort::{bitonic_sort_by_key, hierarchical_depth_sort};
@@ -217,6 +221,80 @@ fn bench_engine_frame(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_cache_hit(c: &mut Criterion) {
+    // A warm `Session::compiled`: the cache lookup every served or
+    // streamed frame pays. A private cache's hit compares the session's
+    // own spec identity by pointer; a hit on a design another session
+    // put in a shared cache compares the identity string.
+    let fw = StreamGrid::new(StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)));
+    let spec = AppDomain::Registration.spec();
+    let mut private = fw.session(spec.clone());
+    private.compiled(1200).expect("warms the private cache");
+    let shared = SharedCache::new();
+    fw.session_builder(spec.clone())
+        .with_cache(shared.clone())
+        .build()
+        .compiled(1200)
+        .expect("warms the shared cache");
+    let mut other = fw.session_builder(spec).with_cache(shared).build();
+    let mut g = c.benchmark_group("cache_hit");
+    g.bench_function("private", |b| {
+        b.iter(|| black_box(private.compiled(1200).unwrap()))
+    });
+    g.bench_function("shared_other_session", |b| {
+        b.iter(|| black_box(other.compiled(1200).unwrap()))
+    });
+    g.finish();
+}
+
+fn bench_server_run(c: &mut Criterion) {
+    // A whole `StreamServer::run` shaped like perfbench's `server-mix`:
+    // 64 tenants × 100 frames on one worker, 20/40/40 Interactive /
+    // Standard / Background, classification and registration at three
+    // sizes, the last quarter on sizes no earlier tenant uses, and half
+    // arriving through `submit_queued` under a ledger that holds only the
+    // other half's projection. Each iteration builds a server over a
+    // cold cache, so it pays each distinct key's solve once and serves
+    // the rest of its 6,400 frames as DT copies.
+    const TENANTS: usize = 64;
+    const FRAMES: u64 = 100;
+    let config = StreamGridConfig::cs_dt(SplitConfig::linear(4, 2));
+    let server = || {
+        let mut server = StreamServer::new(
+            ServerConfig::default()
+                .with_workers(1)
+                .with_capacity(TENANTS as u64 / 2 * FRAMES),
+        );
+        for i in 0..TENANTS {
+            let qos = match i % 5 {
+                0 => QosClass::Interactive,
+                1 | 2 => QosClass::Standard,
+                _ => QosClass::Background,
+            };
+            let domain = if i % 2 == 0 {
+                AppDomain::Classification
+            } else {
+                AppDomain::Registration
+            };
+            let late = if 4 * i >= 3 * TENANTS { 48 } else { 0 };
+            let spec = TenantSpec::new(format!("t{i}"), domain.spec(), config).with_qos(qos);
+            let source = SyntheticSource::new([1200, 2400, 3600][i % 3] + late, FRAMES);
+            let admitted = if 2 * i >= TENANTS {
+                server.submit_queued(spec, source)
+            } else {
+                server.submit(spec, source)
+            };
+            admitted.expect("the ledger admits or waitlists every tenant");
+        }
+        server
+    };
+    let mut g = c.benchmark_group("server_run");
+    g.bench_function("server_mix_64x100", |b| {
+        b.iter(|| black_box(server().run()))
+    });
+    g.finish();
+}
+
 fn bench_lidar_scan(c: &mut Criterion) {
     // One sweep per iteration, cycling through a drive's poses: the
     // `lidar-stream` benchmark's sweep (6 × 300 through a 14-box,
@@ -262,6 +340,8 @@ criterion_group!(
     bench_session,
     bench_engine,
     bench_engine_frame,
+    bench_cache_hit,
+    bench_server_run,
     bench_lidar_scan
 );
 criterion_main!(benches);

@@ -54,6 +54,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -291,8 +292,54 @@ impl CachedDesign {
         }
     }
 
+    /// The design, if `req` names the same spec. A request from the
+    /// session that filled the slot shares its identity string, so the
+    /// pointer compare answers without reading the string.
     fn matching(&self, req: &CompileRequest<'_>) -> Option<Arc<CompiledPipeline>> {
-        (self.spec_repr.as_ref() == req.spec_repr()).then(|| Arc::clone(&self.compiled))
+        (Arc::ptr_eq(&self.spec_repr, req.spec_repr) || *self.spec_repr == **req.spec_repr)
+            .then(|| Arc::clone(&self.compiled))
+    }
+}
+
+/// The slot map's hasher: one rotate, xor and multiply per word (the
+/// FxHash scheme), and a final rotate that brings the product's mixed
+/// high bits down to the bucket index. It takes no random key, so it
+/// is no defense against chosen keys. A [`CacheKey`] is the library's
+/// own spec fingerprint, config and chunk size; a source's frame sizes
+/// set the chunk size, but every new key costs an ILP solve, far more
+/// than any probe a crafted collision adds.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -312,7 +359,7 @@ struct SlotEntry {
 
 #[derive(Debug, Default)]
 struct SlotMap {
-    slots: Mutex<HashMap<CacheKey, SlotEntry>>,
+    slots: Mutex<HashMap<CacheKey, SlotEntry, BuildHasherDefault<KeyHasher>>>,
     /// Monotone logical clock feeding the recency stamps.
     tick: AtomicU64,
     /// Resident-design bound; `None` grows without limit (the historic
@@ -328,12 +375,16 @@ impl SlotMap {
         }
     }
 
+    /// The slot for `key`, stamped as just used. A resident key is
+    /// served by a lookup; only a new key inserts.
     fn slot(&self, key: CacheKey) -> Slot {
         let mut slots = self.slots.lock().expect("slot map lock is panic-free");
-        let entry = slots.entry(key).or_default();
-        entry
-            .last_used
-            .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+        let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
+        let entry = match slots.get(&key) {
+            Some(entry) => entry,
+            None => slots.entry(key).or_default(),
+        };
+        entry.last_used.store(stamp, Ordering::Relaxed);
         Arc::clone(&entry.slot)
     }
 
@@ -886,6 +937,59 @@ mod tests {
             .get_or_compile(&request(&spec, &repr, &config, 2400))
             .unwrap();
         assert_eq!(cache.solver_invocations(), 2);
+    }
+
+    #[test]
+    fn a_hit_inserts_no_slot_and_refreshes_recency() {
+        let spec = AppDomain::Classification.spec();
+        let repr = spec_repr(&spec);
+        // Another session's identity: an equal string, another `Arc`.
+        let other_repr = spec_repr(&spec);
+        let config = csdt4();
+        let cache = InMemoryCache::with_capacity(2);
+        let (a, b, c) = (1200u64, 2400, 3600);
+        let first = cache
+            .get_or_compile(&request(&spec, &repr, &config, a))
+            .unwrap();
+        cache
+            .get_or_compile(&request(&spec, &repr, &config, b))
+            .unwrap();
+        let map = &cache.entries;
+        let key_a = request(&spec, &repr, &config, a).key();
+        let key_b = request(&spec, &repr, &config, b).key();
+        let stamp = |key: &CacheKey| {
+            map.slots.lock().unwrap()[key]
+                .last_used
+                .load(Ordering::Relaxed)
+        };
+        let slot_a = Arc::clone(&map.slots.lock().unwrap()[&key_a].slot);
+        assert!(stamp(&key_a) < stamp(&key_b));
+
+        // Hits through either identity: no solve, no new slot, the
+        // resident design, and `a` is now the most recently used.
+        for identity in [&repr, &other_repr] {
+            let hit = cache
+                .get_or_compile(&request(&spec, identity, &config, a))
+                .unwrap();
+            assert!(
+                Arc::ptr_eq(&hit, &first),
+                "a hit serves the resident design"
+            );
+        }
+        assert_eq!(cache.solver_invocations(), 2);
+        assert_eq!(map.slots.lock().unwrap().len(), 2, "a hit inserts no slot");
+        assert!(Arc::ptr_eq(
+            &map.slots.lock().unwrap()[&key_a].slot,
+            &slot_a
+        ));
+        assert!(stamp(&key_a) > stamp(&key_b), "a hit refreshes recency");
+
+        // So a third key evicts `b`, the least recently used, not `a`.
+        cache
+            .get_or_compile(&request(&spec, &repr, &config, c))
+            .unwrap();
+        assert!(map.slots.lock().unwrap().contains_key(&key_a));
+        assert!(!map.slots.lock().unwrap().contains_key(&key_b));
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use pipeline::{CompileError, PipelineBuilder, PipelineSpec, StageId};
 pub use registry::PipelineRegistry;
 pub use session::{Session, SessionBuilder};
 pub use source::{
-    nearest_rank, DatasetSource, Frame, FrameReport, FrameSource, FrameStats, ReplaySource,
-    SizeBucketing, StreamOptions, StreamReport, SyntheticSource,
+    nearest_rank, nearest_rank_sorted, DatasetSource, Frame, FrameReport, FrameSource, FrameStats,
+    ReplaySource, SizeBucketing, StreamOptions, StreamReport, SyntheticSource,
 };
 pub use transform::{SplitConfig, StreamGridConfig, TerminationConfig};

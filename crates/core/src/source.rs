@@ -537,9 +537,10 @@ impl StreamReport {
 /// smallest sample such that at least `ceil(q·n)` samples are `<=` it
 /// (0 on an empty slice). This is the **one** percentile definition the
 /// workspace reports against — [`StreamReport`]'s per-frame cycle
-/// percentiles and `streamgrid-serve`'s wall-clock latency SLOs both
-/// delegate here, so a p95 on a `StreamReport` and a p95 on a
-/// `ServerReport` can never mean subtly different statistics.
+/// percentiles delegate here, and `streamgrid-serve`'s wall-clock
+/// latency SLOs to [`nearest_rank_sorted`], the rank rule this applies,
+/// so a p95 on a `StreamReport` and a p95 on a `ServerReport` can never
+/// mean subtly different statistics.
 ///
 /// # Examples
 ///
@@ -553,11 +554,32 @@ impl StreamReport {
 /// assert_eq!(nearest_rank(&[], 0.5), 0);
 /// ```
 pub fn nearest_rank(samples: &[u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
+    nearest_rank_sorted(&sorted, q)
+}
+
+/// [`nearest_rank`] over samples already sorted ascending, without the
+/// copy and sort: a caller reading several percentiles of one sample
+/// set sorts it once and reads each here.
+///
+/// # Examples
+///
+/// ```
+/// use streamgrid_core::source::{nearest_rank, nearest_rank_sorted};
+///
+/// let samples = [30, 10, 20, 50, 40];
+/// let mut sorted = samples.to_vec();
+/// sorted.sort_unstable();
+/// for q in [0.0, 0.5, 0.95, 1.0] {
+///     assert_eq!(nearest_rank_sorted(&sorted, q), nearest_rank(&samples, q));
+/// }
+/// ```
+pub fn nearest_rank_sorted(sorted: &[u64], q: f64) -> u64 {
+    debug_assert!(sorted.is_sorted(), "samples must be sorted ascending");
+    if sorted.is_empty() {
+        return 0;
+    }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

@@ -26,7 +26,13 @@
 //! skips the wake. The run's memo of deterministic reports is read
 //! inside the pop's critical section and filled inside the
 //! completion's, so it adds no step: a worker's unlocked execute step
-//! stands for an engine run or a copy alike.
+//! stands for an engine run or a copy alike. The same holds for the
+//! per-tenant result slots (pushed in the push's critical section,
+//! filled in the completion's) and the list of finished tenants (pushed
+//! in the completion's or the exhaust's, by whichever finishes the
+//! tenant, and drained by the scheduler's harvest); that list is the
+//! set of finished, not yet released tenants the ledger model's sweep
+//! releases.
 //!
 //! Three models, each with seeded sabotage variants that CI must report
 //! as caught (`sg_lint --mc`):

@@ -3,15 +3,17 @@
 //! aggregated the way [`StreamReport`] aggregates per-frame cycles.
 //!
 //! Wall-clock percentiles use the same nearest-rank definition as
-//! [`StreamReport::p99_frame_cycles`] — both call
-//! [`streamgrid_core::nearest_rank`], so the serving layer and the
-//! cycle-level aggregates cannot drift apart.
+//! [`StreamReport::p99_frame_cycles`] — that calls
+//! [`streamgrid_core::nearest_rank`], and the serving layer sorts its
+//! samples once and reads each percentile with
+//! [`streamgrid_core::nearest_rank_sorted`], the rank rule
+//! `nearest_rank` applies, so the two cannot drift apart.
 //!
 //! [`StreamReport`]: streamgrid_core::source::StreamReport
 //! [`StreamReport::p99_frame_cycles`]: streamgrid_core::source::StreamReport::p99_frame_cycles
 
 use streamgrid_core::framework::LintSummary;
-use streamgrid_core::nearest_rank;
+use streamgrid_core::nearest_rank_sorted;
 use streamgrid_core::pipeline::CompileError;
 use streamgrid_core::source::StreamReport;
 
@@ -67,8 +69,10 @@ const NS_PER_MS: f64 = 1e6;
 
 impl LatencyStats {
     /// Aggregates `samples` (empty samples produce all-zero stats).
+    /// Sorts the totals once, for every percentile.
     pub fn from_samples(samples: &[FrameLatency]) -> Self {
-        let totals: Vec<u64> = samples.iter().map(|s| s.total_ns()).collect();
+        let mut totals: Vec<u64> = samples.iter().map(|s| s.total_ns()).collect();
+        totals.sort_unstable();
         let n = samples.len() as u64;
         let mean = |sum: u64| {
             if n == 0 {
@@ -79,10 +83,10 @@ impl LatencyStats {
         };
         LatencyStats {
             frames: n,
-            p50_ms: nearest_rank(&totals, 0.50) as f64 / NS_PER_MS,
-            p95_ms: nearest_rank(&totals, 0.95) as f64 / NS_PER_MS,
-            p99_ms: nearest_rank(&totals, 0.99) as f64 / NS_PER_MS,
-            max_ms: totals.iter().copied().max().unwrap_or(0) as f64 / NS_PER_MS,
+            p50_ms: nearest_rank_sorted(&totals, 0.50) as f64 / NS_PER_MS,
+            p95_ms: nearest_rank_sorted(&totals, 0.95) as f64 / NS_PER_MS,
+            p99_ms: nearest_rank_sorted(&totals, 0.99) as f64 / NS_PER_MS,
+            max_ms: totals.last().copied().unwrap_or(0) as f64 / NS_PER_MS,
             mean_queue_ms: mean(samples.iter().map(|s| s.queue_ns).sum()),
             mean_exec_ms: mean(samples.iter().map(|s| s.exec_ns).sum()),
         }

@@ -27,7 +27,14 @@
 //!   the bound, or a completion that finishes a tenant. Every notify
 //!   comes after the mutex is released. On a `server-mix`-shaped fleet
 //!   (64 tenants × 100 frames, one worker, pinned to one CPU) a served
-//!   frame costs about 0.5 context switches.
+//!   frame costs about 0.4 context switches;
+//! - a frame's bookkeeping costs the same whatever the fleet's size:
+//!   each tenant has one result slot per pulled frame, which the
+//!   scheduler pushes when it enqueues the frame and the worker fills in
+//!   place, so the slots become the tenant's [`StreamReport`] in order;
+//!   and the scheduler releases the tenants on a list of finished ones,
+//!   which the thread whose step finished a tenant pushes to under the
+//!   lock it already holds, instead of scanning every tenant.
 //!
 //! The per-frame path is [`Session::stream`]'s: the scheduler calls the
 //! same [`Session::compile_frame`] step (bucket, compile through the
@@ -57,6 +64,7 @@
 //! [`CompiledFrame::execute`]: streamgrid_core::session::CompiledFrame::execute
 //! [`SharedCache`]: streamgrid_core::cache::SharedCache
 //! [`FrameReport`]: streamgrid_core::source::FrameReport
+//! [`StreamReport`]: streamgrid_core::source::StreamReport
 //! [`QosClass::Background`]: crate::QosClass::Background
 //! [`QosClass::Interactive`]: crate::QosClass::Interactive
 
@@ -203,8 +211,6 @@ struct Tenant {
     active: bool,
     /// Whether the tenant waited on the waitlist before admission.
     was_queued: bool,
-    /// Tokens returned to the ledger (set once, at finish).
-    released: bool,
     /// ILP solves this tenant's compiles paid: the sum of its frames'
     /// [`CompiledFrame::solves`], exact because only the scheduler
     /// compiles.
@@ -237,11 +243,15 @@ struct Job {
     shed_deadline: Option<Duration>,
 }
 
-/// What a worker produced for one job. The report is boxed: a
-/// `FrameReport` is large, and `Shed` outcomes should stay cheap.
+/// What a worker produced for one job, written in place into the job's
+/// slot in [`State::results`]. The report sits inline, though a `Shed`
+/// outcome needs none of its bytes: a slot is written once and moved
+/// once, into the tenant's [`StreamReport`], and boxing would cost an
+/// allocation per frame.
+#[allow(clippy::large_enum_variant)]
 enum FrameOutcome {
     Executed {
-        report: Box<FrameReport>,
+        report: FrameReport,
         queue_ns: u64,
         exec_ns: u64,
     },
@@ -249,8 +259,9 @@ enum FrameOutcome {
 }
 
 /// The scheduler↔worker shared state: class queues, WFQ counters,
-/// per-tenant progress and completed results, all behind one mutex with
-/// two condvars (`work` wakes workers, `space` wakes the scheduler).
+/// per-tenant progress and result slots, and the finished tenants, all
+/// behind one mutex with two condvars (`work` wakes workers, `space`
+/// wakes the scheduler).
 ///
 /// Every notify happens after the notifier released the mutex, so a
 /// woken thread never runs only to block on a mutex its waker still
@@ -271,11 +282,21 @@ struct State {
     queues: [VecDeque<Job>; 3],
     /// Jobs dispatched per class, for the WFQ pick.
     served: [u64; 3],
-    /// Per tenant index: what a worker needs to tell whether its
-    /// completion finished the tenant.
+    /// Per tenant index: with the tenant's slot count, what a worker
+    /// needs to tell whether its completion finished the tenant.
     progress: Vec<Progress>,
-    /// Completed results: `(tenant index, seq, outcome)`.
-    results: Vec<(usize, u64, FrameOutcome)>,
+    /// Per tenant index, one slot per pulled frame, indexed by `seq`
+    /// (so a tenant's slot count is the frames it pulled): the
+    /// scheduler pushes an empty slot when it enqueues the frame, and
+    /// the worker that completes the frame fills it. Each tenant's
+    /// slots are reserved from its projection, so a tenant that pulls
+    /// no more than it projected never grows them.
+    results: Vec<Vec<Option<FrameOutcome>>>,
+    /// Tenants finished since the scheduler's last harvest, each pushed
+    /// once, by the step that finished it: a worker's completion
+    /// ([`tenant_finished`]), or the scheduler marking exhausted a
+    /// tenant with nothing in flight. Reserved for every tenant.
+    finished: Vec<usize>,
     /// Reports of the DT designs executed so far in this run. A worker
     /// reads it under the lock it takes to pop and fills it under the
     /// lock it takes to record, so it adds no lock, wait or notify.
@@ -358,13 +379,12 @@ impl ReportMemo {
     }
 }
 
-/// One tenant's frame counts. Only the scheduler sets `pulled` and
-/// `exhausted`, and only workers bump `completed`, all under the mutex.
+/// One tenant's completion state. Only the scheduler sets `exhausted`,
+/// and only workers bump `completed`, all under the mutex. The frames
+/// it pulled are its result slots (a frame whose compile failed is
+/// never enqueued and has none).
 #[derive(Debug, Clone, Copy, Default)]
 struct Progress {
-    /// Frames enqueued so far (a frame whose compile failed is never
-    /// enqueued).
-    pulled: u64,
     /// Frames completed (executed or shed).
     completed: u64,
     /// The source returned `None`, `max_frames` hit, or a compile
@@ -372,9 +392,16 @@ struct Progress {
     exhausted: bool,
 }
 
-impl Progress {
-    fn finished(&self) -> bool {
-        tenant_finished(self.exhausted, self.pulled, self.completed)
+impl State {
+    /// Whether tenant `i` is finished: exhausted, with every frame it
+    /// pulled completed ([`tenant_finished`]).
+    fn has_finished(&self, i: usize) -> bool {
+        let progress = self.progress[i];
+        tenant_finished(
+            progress.exhausted,
+            self.results[i].len() as u64,
+            progress.completed,
+        )
     }
 }
 
@@ -485,7 +512,6 @@ impl StreamServer {
             projected,
             active: false,
             was_queued: false,
-            released: false,
             solves: 0,
             degraded_frames: 0,
             error: None,
@@ -594,7 +620,11 @@ impl StreamServer {
                 queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 served: [0; 3],
                 progress: vec![Progress::default(); tenants.len()],
-                results: Vec::new(),
+                results: tenants
+                    .iter()
+                    .map(|t| Vec::with_capacity(t.projected.min(MAX_RESERVED_SLOTS) as usize))
+                    .collect(),
+                finished: Vec::with_capacity(tenants.len()),
                 memo: ReportMemo::default(),
                 done: false,
             }),
@@ -624,6 +654,7 @@ impl StreamServer {
             }
         });
 
+        debug_assert_eq!(ledger.committed(), 0, "every tenant released its tokens");
         let state = shared
             .state
             .into_inner()
@@ -631,6 +662,10 @@ impl StreamServer {
         assemble_report(state, tenants, self.rejected, workers)
     }
 }
+
+/// Result slots reserved per tenant at most: a source's frame hint can
+/// overstate what it yields, and slots past this grow as frames come.
+const MAX_RESERVED_SLOTS: u64 = 1024;
 
 /// The scheduler loop: harvest finishes → admit from the waitlist →
 /// pull/compile/enqueue one frame → repeat; park on `space` when every
@@ -647,27 +682,27 @@ fn schedule(
     // Projections never change after submission; snapshot them so the
     // FIFO admission sweep can borrow them while mutating the tenants.
     let projections: Vec<u64> = tenants.iter().map(|t| t.projected).collect();
+    // Tenants not yet released, waitlisted ones included.
+    let mut live = tenants.len();
     loop {
         let mut st = shared.state.lock().expect("workers do not panic");
         let i = loop {
-            // Phase A (locked): harvest finishes — release each
-            // finished tenant's tokens and admit waitlisted tenants
-            // FIFO while their projections fit.
-            for (t, p) in tenants.iter_mut().zip(&st.progress) {
-                if t.active && !t.released && p.finished() {
-                    t.released = true;
-                    ledger.release(t.projected);
-                }
+            // Phase A (locked): harvest finishes — release the tokens of
+            // each tenant finished since the last harvest, and admit
+            // waitlisted tenants FIFO while their projections fit.
+            for i in st.finished.drain(..) {
+                ledger.release(projections[i]);
+                live -= 1;
             }
             for i in admit_fifo(ledger, waitlist, |i| projections[i]) {
                 tenants[i].active = true;
             }
 
-            // Done when every admitted tenant finished and nobody
-            // waits. (A waitlisted tenant always eventually fits:
+            // Done when every tenant, waitlisted ones included, has
+            // finished. (A waitlisted tenant always eventually fits:
             // `submit_queued` rejects projections above total capacity,
             // and a drained server has every token free.)
-            if waitlist.is_empty() && tenants.iter().all(|t| !t.active || t.released) {
+            if live == 0 {
                 st.done = true;
                 drop(st);
                 shared.work.notify_all();
@@ -679,14 +714,12 @@ fn schedule(
             // round-robin from a cursor so no tenant monopolizes the
             // pull. The space check IS the backpressure: a backed-up
             // class stops being pulled without blocking anyone else.
-            let pick = (0..tenants.len())
-                .map(|off| (cursor + off) % tenants.len())
-                .find(|&i| {
-                    let t = &tenants[i];
-                    t.active
-                        && !st.progress[i].exhausted
-                        && st.queues[t.spec.qos.index()].len() < queue_depth
-                });
+            let pick = (cursor..tenants.len()).chain(0..cursor).find(|&i| {
+                let t = &tenants[i];
+                t.active
+                    && !st.progress[i].exhausted
+                    && st.queues[t.spec.qos.index()].len() < queue_depth
+            });
             match pick {
                 Some(i) => break i,
                 // Every pullable queue is full, or only in-flight work
@@ -710,7 +743,7 @@ fn schedule(
             && 2 * st.queues[class].len() >= queue_depth;
         // Only the scheduler enqueues, so this stays the next frame's
         // sequence number while unlocked.
-        let seq = st.progress[i].pulled;
+        let seq = st.results[i].len() as u64;
         drop(st);
 
         // Phase C (unlocked): pull and compile. The ILP solve can be
@@ -738,10 +771,14 @@ fn schedule(
         };
         let Some(frame) = compiled else {
             // No more pulls. A worker finishing the tenant's last
-            // in-flight frame from now on wakes the scheduler; if none
-            // is in flight, the next harvest releases it.
+            // in-flight frame from now on lists it as finished and wakes
+            // the scheduler; if none is in flight, the tenant is
+            // finished now, and the next harvest releases it.
             let mut st = shared.state.lock().expect("workers do not panic");
             st.progress[i].exhausted = true;
+            if st.has_finished(i) {
+                st.finished.push(i);
+            }
             continue;
         };
         t.solves += frame.solves;
@@ -759,10 +796,11 @@ fn schedule(
             },
         };
 
-        // Phase D (locked): enqueue; wake one worker once unlocked.
+        // Phase D (locked): enqueue, with the slot its worker fills;
+        // wake one worker once unlocked.
         let mut st = shared.state.lock().expect("workers do not panic");
         st.queues[class].push_back(job);
-        st.progress[i].pulled += 1;
+        st.results[i].push(None);
         drop(st);
         shared.work.notify_one();
     }
@@ -792,6 +830,7 @@ fn worker_loop(shared: &SyncState, queue_depth: usize) {
             shared.space.notify_one();
         }
 
+        // One clock read ends the queue wait and starts the exec timing.
         let picked = Instant::now();
         let waited = picked.duration_since(job.enqueued);
         let queue_ns = waited.as_nanos() as u64;
@@ -799,16 +838,15 @@ fn worker_loop(shared: &SyncState, queue_depth: usize) {
         let outcome = match job.shed_deadline {
             Some(deadline) if waited > deadline => FrameOutcome::Shed,
             _ => {
-                let t0 = Instant::now();
-                let report = Box::new(match &known {
+                let report = match &known {
                     Some(report) => FrameReport {
                         frame: job.frame.frame,
                         scheduled_elements: job.frame.scheduled_elements,
                         report: ExecutionReport::clone(report),
                     },
                     None => job.frame.execute(&job.exec),
-                });
-                let exec_ns = t0.elapsed().as_nanos() as u64;
+                };
+                let exec_ns = picked.elapsed().as_nanos() as u64;
                 if known.is_none() && job.frame.design.is_deterministic() {
                     fresh = Some(Arc::new(report.report.clone()));
                 }
@@ -824,12 +862,14 @@ fn worker_loop(shared: &SyncState, queue_depth: usize) {
         if let Some(report) = fresh {
             st.memo.insert(&job.frame.design, &job.exec, report);
         }
-        let progress = &mut st.progress[job.tenant];
-        progress.completed += 1;
+        st.results[job.tenant][job.seq as usize] = Some(outcome);
+        st.progress[job.tenant].completed += 1;
         // Harvest and waitlist admission act only on finished tenants,
         // so no other completion gives the scheduler anything to do.
-        let finished = progress.finished();
-        st.results.push((job.tenant, job.seq, outcome));
+        let finished = st.has_finished(job.tenant);
+        if finished {
+            st.finished.push(job.tenant);
+        }
         drop(st);
         if finished {
             shared.space.notify_one();
@@ -854,23 +894,14 @@ fn pick_job(st: &mut State) -> Option<(Job, usize)> {
     Some((job, st.queues[c].len()))
 }
 
-/// Folds the run's raw state into the [`ServerReport`].
+/// Folds the run's raw state into the [`ServerReport`]: each tenant's
+/// result slots, in seq order, become its [`StreamReport`].
 fn assemble_report(
     state: State,
     tenants: Vec<Tenant>,
     rejected: u64,
     workers: usize,
 ) -> ServerReport {
-    // Route outcomes back to their (tenant, seq) slots.
-    let mut outcomes: Vec<Vec<Option<FrameOutcome>>> = state
-        .progress
-        .iter()
-        .map(|p| (0..p.pulled).map(|_| None).collect())
-        .collect();
-    for (t, seq, outcome) in state.results {
-        outcomes[t][seq as usize] = Some(outcome);
-    }
-
     let mut class_samples: [Vec<FrameLatency>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut class_tenants = [0u64; 3];
     let mut class_cycles = [0u64; 3];
@@ -882,7 +913,7 @@ fn assemble_report(
     let mut solver_invocations = 0u64;
     let mut all_diags = Vec::new();
     let mut reports = Vec::with_capacity(tenants.len());
-    for (slots, t) in outcomes.into_iter().zip(tenants) {
+    for (slots, t) in state.results.into_iter().zip(tenants) {
         debug_assert!(t.active, "run() ended with a waitlisted tenant");
         admitted += 1;
         queued_admissions += u64::from(t.was_queued);
@@ -900,8 +931,8 @@ fn assemble_report(
         let lints = LintSummary::from_diagnostics(&diags);
         all_diags.extend(diags);
 
-        let mut frames = Vec::new();
-        let mut samples = Vec::new();
+        let mut frames = Vec::with_capacity(slots.len());
+        let mut samples = Vec::with_capacity(slots.len());
         let mut shed_frames = 0u64;
         for slot in slots {
             match slot.expect("every pulled frame completed before done") {
@@ -911,7 +942,7 @@ fn assemble_report(
                     exec_ns,
                 } => {
                     samples.push(FrameLatency { queue_ns, exec_ns });
-                    frames.push(*report);
+                    frames.push(report);
                 }
                 FrameOutcome::Shed => shed_frames += 1,
             }

@@ -6,8 +6,15 @@
 //! it runs an engine for every frame of a design without DT. Reports
 //! cannot show the difference (a copy equals a fresh run), so this
 //! counts allocations: a DT fleet must pay far less than an engine
-//! run's count per frame, and a CS-only fleet at least that much. The
-//! counter is process-wide, so this binary holds one test: no other
+//! run's count per frame, and a CS-only fleet at least that much.
+//!
+//! It also pins what one served frame costs. Each fleet runs twice, at
+//! `FRAMES` and at twice that many frames per tenant; the difference
+//! between the two runs, over the extra frames, is the count per served
+//! frame, with the run's fixed costs (threads, sessions, one report
+//! vector per tenant) cancelled. A failure prints the measured table.
+//!
+//! The counter is process-wide, so this binary holds one test: no other
 //! test's threads allocate while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,7 +70,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Tenants in each fleet, all on one design.
 const TENANTS: u64 = 4;
 
-/// Frames per tenant.
+/// Frames per tenant in the shorter run; the longer run serves twice
+/// as many.
 const FRAMES: u64 = 16;
 
 #[test]
@@ -71,9 +79,17 @@ fn served_frames_copy_dt_reports_and_run_the_rest() {
     let spec = AppDomain::Classification.spec();
     let options = ExecuteOptions::for_spec(&spec);
     let mut table = Vec::new();
-    for (name, config) in [
-        ("CS+DT", StreamGridConfig::cs_dt(SplitConfig::linear(4, 2))),
-        ("CS", StreamGridConfig::cs(SplitConfig::linear(4, 2))),
+    // Each fleet's ceiling on allocations per served frame, at the count
+    // measured: a DT copy clones the report's two per-edge vectors, and a
+    // CS frame pays one engine run. Lower a ceiling when a change lowers
+    // its count.
+    for (name, config, ceiling) in [
+        (
+            "CS+DT",
+            StreamGridConfig::cs_dt(SplitConfig::linear(4, 2)),
+            2,
+        ),
+        ("CS", StreamGridConfig::cs(SplitConfig::linear(4, 2)), 5),
     ] {
         // Solve the design before counting, and count one engine run.
         let cache = SharedCache::new();
@@ -86,42 +102,60 @@ fn served_frames_copy_dt_reports_and_run_the_rest() {
         let cold = design.execute(&options);
         let (_, run) = allocations(|| design.execute(&options));
 
-        let mut server = StreamServer::with_cache(ServerConfig::default().with_workers(1), cache);
-        for i in 0..TENANTS {
-            server
-                .submit(
-                    TenantSpec::new(format!("t{i}"), spec.clone(), config),
-                    SyntheticSource::new(1200, FRAMES),
-                )
-                .expect("the default ledger admits the fleet");
+        let mut served = [0u64; 2];
+        for (count, frames) in served.iter_mut().zip([FRAMES, 2 * FRAMES]) {
+            let mut server =
+                StreamServer::with_cache(ServerConfig::default().with_workers(1), cache.clone());
+            for i in 0..TENANTS {
+                server
+                    .submit(
+                        TenantSpec::new(format!("t{i}"), spec.clone(), config),
+                        SyntheticSource::new(1200, frames),
+                    )
+                    .expect("the default ledger admits the fleet");
+            }
+            let (report, allocated) = allocations(|| server.run());
+            assert_eq!(report.frame_count(), TENANTS * frames);
+            assert_eq!(report.solver_invocations, 0, "{name}: the design was warm");
+            assert!(report.tenants.iter().all(|t| t
+                .stream
+                .frames
+                .iter()
+                .all(|f| f.report == cold)));
+            *count = allocated;
         }
-        let (report, served) = allocations(|| server.run());
-        assert_eq!(report.frame_count(), TENANTS * FRAMES);
-        assert_eq!(report.solver_invocations, 0, "{name}: the design was warm");
-        assert!(report
-            .tenants
-            .iter()
-            .all(|t| t.stream.frames.iter().all(|f| f.report == cold)));
-        table.push((name, design.is_deterministic(), run, served));
+        table.push((name, design.is_deterministic(), run, served, ceiling));
     }
+
     let frames = TENANTS * FRAMES;
     let rendered: Vec<String> = table
         .iter()
-        .map(|(name, _, run, served)| {
-            format!("{name}: one engine run {run}, a {frames}-frame server run {served}")
+        .map(|&(name, _, run, [short, long], _)| {
+            format!(
+                "{name:>5}: one engine run {run:>4}, a {frames}-frame server run {short:>5}, \
+                 a {}-frame run {long:>5}, per served frame {:.2}",
+                2 * frames,
+                (long - short) as f64 / frames as f64
+            )
         })
         .collect();
-    for &(_, deterministic, run, served) in &table {
+    let rendered = rendered.join("\n");
+    println!("{rendered}");
+    for &(name, deterministic, run, [short, long], ceiling) in &table {
         let holds = if deterministic {
-            served < frames * run / 2
+            short < frames * run / 2
         } else {
-            served >= frames * run
+            short >= frames * run
         };
         assert!(
             holds,
             "a DT fleet must pay under half an engine run per frame, a CS-only \
-             fleet at least one; measured:\n{}",
-            rendered.join("\n")
+             fleet at least one; measured:\n{rendered}"
+        );
+        assert!(
+            long - short <= ceiling * frames,
+            "{name}: a served frame allocates more than its ceiling of {ceiling}; \
+             measured:\n{rendered}"
         );
     }
 }

@@ -83,6 +83,120 @@ fn single_tenant_is_bit_identical_to_session_stream() {
     assert_eq!(report.class(QosClass::Standard).tenants, 1);
 }
 
+/// A fleet on four workers serves every tenant what a direct
+/// `Session::stream` of its source returns, frame for frame in seq
+/// order: tenants in all three classes, on DT designs (one engine run
+/// per design, copies after) and a CS-only design (an engine run per
+/// frame), so frames complete out of order into their tenants' slots;
+/// half admitted at once and half from the waitlist as tenants finish;
+/// one capped by `with_max_frames` and one whose source yields no
+/// frame. The last waitlisted tenant projects the ledger's whole
+/// capacity, so it is admitted only once the ledger is back at full
+/// capacity; `StreamServer::run` asserts in debug builds that it ends
+/// there too.
+#[test]
+fn a_multi_worker_fleet_serves_what_each_source_streams_directly() {
+    struct Fleet {
+        qos: QosClass,
+        domain: AppDomain,
+        config: StreamGridConfig,
+        sizes: Vec<u64>,
+        max_frames: Option<u64>,
+        queued: bool,
+    }
+    let cs = StreamGridConfig::cs(SplitConfig::linear(4, 2));
+    let tenant = |qos, domain, config, sizes: &[u64], queued| Fleet {
+        qos,
+        domain,
+        config,
+        sizes: sizes.to_vec(),
+        max_frames: None,
+        queued,
+    };
+    let (cls, reg) = (AppDomain::Classification, AppDomain::Registration);
+    let (interactive, standard, background) = (
+        QosClass::Interactive,
+        QosClass::Standard,
+        QosClass::Background,
+    );
+    let mut fleet = vec![
+        tenant(
+            interactive,
+            cls,
+            csdt4(),
+            &[1200, 2400, 1200, 3600, 1200, 2400],
+            false,
+        ),
+        tenant(standard, reg, cs, &[2400, 1200, 2400, 2400], false),
+        Fleet {
+            max_frames: Some(3),
+            ..tenant(
+                background,
+                cls,
+                csdt4(),
+                &[3600, 1200, 3600, 1200, 2400],
+                false,
+            )
+        },
+        tenant(interactive, reg, csdt4(), &[1200; 5], false),
+        tenant(background, reg, csdt4(), &[1200, 3600, 1200], true),
+        tenant(standard, cls, csdt4(), &[], true),
+        tenant(interactive, cls, cs, &[2400, 2400, 1200, 2400], true),
+    ];
+    let frames_of = |t: &Fleet| {
+        let n = t.sizes.len() as u64;
+        t.max_frames.map_or(n, |max| n.min(max))
+    };
+    let capacity: u64 = fleet.iter().filter(|t| !t.queued).map(frames_of).sum();
+    let whole: Vec<u64> = (0..capacity)
+        .map(|i| [1200, 2400, 3600][i as usize % 3])
+        .collect();
+    fleet.push(tenant(standard, reg, csdt4(), &whole, true));
+
+    let mut server = StreamServer::new(
+        ServerConfig::default()
+            .with_workers(4)
+            .with_capacity(capacity),
+    );
+    for (i, t) in fleet.iter().enumerate() {
+        let mut spec = TenantSpec::new(format!("t{i}"), t.domain.spec(), t.config).with_qos(t.qos);
+        if let Some(max) = t.max_frames {
+            spec = spec.with_max_frames(max);
+        }
+        let source = ReplaySource::new(&t.sizes);
+        if t.queued {
+            server.submit_queued(spec, source).unwrap();
+        } else {
+            server.submit(spec, source).unwrap();
+        }
+    }
+    let report = server.run();
+
+    assert_eq!(report.admitted, fleet.len() as u64);
+    assert_eq!(report.queued_admissions, 4);
+    assert_eq!(report.rejected, 0);
+    assert!(report.all_clean());
+    for (i, (t, served)) in fleet.iter().zip(&report.tenants).enumerate() {
+        let options = StreamOptions {
+            max_frames: t.max_frames,
+            ..StreamOptions::default()
+        };
+        let direct = StreamGrid::new(t.config)
+            .session(t.domain.spec())
+            .stream(ReplaySource::new(&t.sizes), &options)
+            .unwrap();
+        assert_eq!(served.stream.frame_count(), frames_of(t), "tenant {i}");
+        // Solves differ: the server's tenants share one cache.
+        assert_eq!(served.stream.frames, direct.frames, "tenant {i}");
+        assert_eq!(served.stream.bucketing, direct.bucketing, "tenant {i}");
+        assert_eq!(served.latency.frames, frames_of(t), "tenant {i}");
+        assert_eq!(served.qos, t.qos, "tenant {i}");
+    }
+    for class in &report.classes {
+        assert!(class.tenants >= 2, "{} has tenants", class.qos.name());
+    }
+}
+
 /// Each solve is charged to the tenant whose compile paid it, and the
 /// server's count is the sum of its tenants': the first tenant at a
 /// size pays, a later tenant at the same size hits the shared cache.
